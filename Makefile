@@ -202,7 +202,9 @@ progress-smoke:
 race:
 	GOMAXPROCS=4 $(GO) test -race ./internal/parallel
 	GOMAXPROCS=4 $(GO) test -race -run 'WorkerCountInvariance|ProgressSerialized' ./internal/zoo
-	GOMAXPROCS=4 $(GO) test -race -run 'WorkerCountInvariance' ./internal/fingerprint
+	GOMAXPROCS=4 $(GO) test -race -run 'BitIdentical|ScratchSurvives' ./internal/nn
+	GOMAXPROCS=4 $(GO) test -race -run 'WorkerCountInvariance' ./internal/fingerprint ./internal/cnnmodel
+	GOMAXPROCS=4 $(GO) test -race -run 'ConcurrentPredict' ./internal/transformer
 	GOMAXPROCS=4 $(GO) test -race -run 'ParallelPipelineMatchesSerial|ObsReconcilesWithCampaign|RunAllContextCancel' ./internal/core
 	GOMAXPROCS=4 $(GO) test -race -run 'Snapshot|OrderedSink|Serve|Histogram|Tracer|Flight|Progress' ./internal/obs
 

@@ -29,6 +29,7 @@ import (
 	"decepticon/internal/fingerprint"
 	"decepticon/internal/gpusim"
 	"decepticon/internal/ieee754"
+	"decepticon/internal/nn"
 	"decepticon/internal/obs"
 	"decepticon/internal/rng"
 	"decepticon/internal/sidechannel"
@@ -341,6 +342,82 @@ func BenchmarkTransformerTrainStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.LossAndBackward(tokens, i%2)
 		m.ZeroGrads()
+	}
+}
+
+// ---- level-1 CNN kernels ----
+
+// The fingerprint classifier's training dominates a cold small-scale
+// run. These measure its hot layer on one 16-image batch and one whole
+// classifier step, serially (a layer outside Fit, or Workers=1), so the
+// numbers track the kernels rather than the core count.
+
+// benchTraces simulates n distinct kernel traces for CNN inputs.
+func benchTraces(n int) []*gpusim.Trace {
+	cfg := transformer.Family()["base"]
+	out := make([]*gpusim.Trace, n)
+	for i := range out {
+		out[i] = gpusim.SimulateTransformer(cfg, nil,
+			gpusim.Profile{Source: "hf", Framework: gpusim.PyTorch, Seed: uint64(i + 1)}, gpusim.Options{})
+	}
+	return out
+}
+
+// benchConv1 returns the classifier's first conv layer (1→6, k5, 64²),
+// a batch of 16 rendered trace images, and the gradient that reaches
+// the layer back through its ReLU and 4×4 max-pool — mostly zeros, as
+// in training.
+func benchConv1() (conv *nn.Conv2D, x, grad *tensor.Matrix) {
+	r := rng.New(1)
+	conv = nn.NewConv2D(1, 6, 5, 64, 64, r)
+	x = tensor.New(16, 64*64)
+	for i, t := range benchTraces(16) {
+		copy(x.Row(i), traceimg.Render(t, 64).Pix)
+	}
+	relu, pool := nn.NewReLU(), nn.NewMaxPool2D(6, 60, 60, 4)
+	pool.Forward(relu.Forward(conv.Forward(x, true), true), true)
+	g := tensor.Randn(16, pool.OutSize(), 1, r)
+	grad = relu.Backward(pool.Backward(g)).Clone()
+	return conv, x, grad
+}
+
+func BenchmarkConvForward(b *testing.B) {
+	conv, x, _ := benchConv1()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv.Forward(x, true)
+	}
+}
+
+func BenchmarkConvBackward(b *testing.B) {
+	conv, x, grad := benchConv1()
+	conv.Forward(x, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv.Backward(grad)
+	}
+}
+
+// benchCNNBatch is one 16-sample batch for the 64-px classifier.
+func benchCNNBatch() (*fingerprint.Classifier, *fingerprint.Dataset) {
+	classes := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	d := &fingerprint.Dataset{Classes: classes}
+	for i, t := range benchTraces(16) {
+		d.Samples = append(d.Samples, fingerprint.Sample{Trace: t, Label: i % len(classes)})
+	}
+	clf := fingerprint.NewClassifier(64, classes, 1)
+	clf.Workers = 1
+	return clf, d
+}
+
+func BenchmarkCNNTrainStep(b *testing.B) {
+	clf, d := benchCNNBatch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clf.Train(d, fingerprint.TrainConfig{Epochs: 1, LR: 0.002, Seed: uint64(i)})
 	}
 }
 

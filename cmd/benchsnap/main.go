@@ -10,10 +10,11 @@
 //	                       so a regression of even one hammer round is
 //	                       visible in review.
 //	BENCH_substrate.json — substrate hot-path timings (GEMM, transformer
-//	                       forward/backward, trace simulation/render,
-//	                       Algorithm 1) normalized by an in-process
-//	                       scalar-triad calibration loop, so the numbers
-//	                       track the code, not the machine. The gate
+//	                       forward/backward, level-1 CNN conv and train
+//	                       step, trace simulation/render, Algorithm 1)
+//	                       normalized by an in-process scalar-triad
+//	                       calibration loop, so the numbers track the
+//	                       code, not the machine. The gate
 //	                       compares them within a tolerance (default
 //	                       ±20%, -tol to adjust).
 //
@@ -40,9 +41,11 @@ import (
 	"testing"
 
 	"decepticon/internal/extract"
+	"decepticon/internal/fingerprint"
 	"decepticon/internal/fsatomic"
 	"decepticon/internal/gpusim"
 	"decepticon/internal/ieee754"
+	"decepticon/internal/nn"
 	"decepticon/internal/obs"
 	"decepticon/internal/rng"
 	"decepticon/internal/sidechannel"
@@ -315,6 +318,28 @@ func substrateSnapshot() *snapshot {
 		}
 	})
 
+	// Level-1 CNN training dominates a cold small-scale run: its hot
+	// conv layer on one 16-image batch, and one whole classifier step,
+	// both serial so the ratios track the kernels, not the core count.
+	conv, cx, cgrad := cnnFixture()
+	measure("conv_forward", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			conv.Forward(cx, true)
+		}
+	})
+	conv.Forward(cx, true)
+	measure("conv_backward", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			conv.Backward(cgrad)
+		}
+	})
+	clf, batch := cnnBatch()
+	measure("cnn_train_step", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			clf.Train(batch, fingerprint.TrainConfig{Epochs: 1, LR: 0.002, Seed: uint64(i)})
+		}
+	})
+
 	ecfg := extract.DefaultConfig()
 	victimW := float32(0.01908)
 	read := func(bit int) int { return ieee754.Bit(victimW, bit) }
@@ -393,4 +418,46 @@ func substrateSnapshot() *snapshot {
 		Note:       fmt.Sprintf("hot-path timings normalized by a scalar-triad calibration loop (recorded on %s/%s); gated within a relative tolerance", runtime.GOOS, runtime.GOARCH),
 		Normalized: norm,
 	}
+}
+
+// cnnTraces simulates n distinct kernel traces for CNN inputs.
+func cnnTraces(n int) []*gpusim.Trace {
+	cfg := transformer.Family()["base"]
+	out := make([]*gpusim.Trace, n)
+	for i := range out {
+		out[i] = gpusim.SimulateTransformer(cfg, nil,
+			gpusim.Profile{Source: "hf", Framework: gpusim.PyTorch, Seed: uint64(i + 1)}, gpusim.Options{})
+	}
+	return out
+}
+
+// cnnFixture mirrors bench_test.go's BenchmarkConvForward/Backward set-up:
+// the classifier's first conv layer (1→6, k5, 64²), 16 rendered trace
+// images, and the mostly-zero gradient that reaches the layer back
+// through its ReLU and 4×4 max-pool.
+func cnnFixture() (conv *nn.Conv2D, x, grad *tensor.Matrix) {
+	r := rng.New(1)
+	conv = nn.NewConv2D(1, 6, 5, 64, 64, r)
+	x = tensor.New(16, 64*64)
+	for i, t := range cnnTraces(16) {
+		copy(x.Row(i), traceimg.Render(t, 64).Pix)
+	}
+	relu, pool := nn.NewReLU(), nn.NewMaxPool2D(6, 60, 60, 4)
+	pool.Forward(relu.Forward(conv.Forward(x, true), true), true)
+	g := tensor.Randn(16, pool.OutSize(), 1, r)
+	grad = relu.Backward(pool.Backward(g)).Clone()
+	return conv, x, grad
+}
+
+// cnnBatch mirrors BenchmarkCNNTrainStep's set-up: a serial 64-px
+// classifier and one 16-sample batch.
+func cnnBatch() (*fingerprint.Classifier, *fingerprint.Dataset) {
+	classes := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	d := &fingerprint.Dataset{Classes: classes}
+	for i, t := range cnnTraces(16) {
+		d.Samples = append(d.Samples, fingerprint.Sample{Trace: t, Label: i % len(classes)})
+	}
+	clf := fingerprint.NewClassifier(64, classes, 1)
+	clf.Workers = 1
+	return clf, d
 }

@@ -28,6 +28,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
@@ -49,6 +50,7 @@ type Options struct {
 	Pprof    string
 	Trace    string
 	LogLevel string
+	CPUProf  string
 
 	// Cache group.
 	Cache         string
@@ -74,7 +76,7 @@ type Options struct {
 }
 
 // RegisterCommon declares the flags every CLI shares: -scale, -workers,
-// -metrics, -pprof, -trace, -log-level.
+// -metrics, -pprof, -trace, -log-level, -cpuprofile.
 func (o *Options) RegisterCommon(fs *flag.FlagSet) {
 	fs.StringVar(&o.Scale, "scale", "small", "population scale: tiny | small | full")
 	fs.IntVar(&o.Workers, "workers", 0, "worker goroutines for model training, trace measurement, and campaigns (0 = all cores); results are identical for any value")
@@ -82,6 +84,7 @@ func (o *Options) RegisterCommon(fs *flag.FlagSet) {
 	fs.StringVar(&o.Pprof, "pprof", "", "serve /metrics, /metrics.json, and /debug/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&o.Trace, "trace", "", "write a Chrome/Perfetto trace_event JSON file on exit (simulated clocks; byte-identical for any -workers)")
 	fs.StringVar(&o.LogLevel, "log-level", "", "structured log level on stderr: debug | info | warn | error (default off)")
+	fs.StringVar(&o.CPUProf, "cpuprofile", "", "write a CPU profile of the whole run to this file on exit (read it with go tool pprof)")
 }
 
 // RegisterCache declares the zoo-materialization group: -cache, -store,
@@ -189,6 +192,7 @@ type Runtime struct {
 
 	opts          *Options
 	tracer        *obs.Tracer
+	cpuProf       *os.File
 	stopSignals   context.CancelFunc
 	pprofShutdown func(context.Context) error
 	closeOnce     sync.Once
@@ -231,9 +235,24 @@ func Setup(opts *Options, extraSignals ...os.Signal) (*Runtime, error) {
 	} else if enabled {
 		reg.SetLogger(obs.NewLogger(os.Stderr, lvl, runID))
 	}
+	if opts.CPUProf != "" {
+		f, err := os.Create(opts.CPUProf)
+		if err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		rt.cpuProf = f
+	}
 	if opts.Pprof != "" {
 		addr, shutdown, err := obs.Serve(opts.Pprof, reg)
 		if err != nil {
+			if rt.cpuProf != nil {
+				pprof.StopCPUProfile()
+				rt.cpuProf.Close()
+			}
 			return nil, fmt.Errorf("pprof server: %w", err)
 		}
 		rt.pprofShutdown = shutdown
@@ -261,6 +280,14 @@ func (rt *Runtime) Close() { rt.closeOnce.Do(rt.close) }
 
 func (rt *Runtime) close() {
 	rt.stopSignals()
+	if rt.cpuProf != nil {
+		pprof.StopCPUProfile()
+		if err := rt.cpuProf.Close(); err != nil {
+			log.Printf("cpuprofile: %v", err)
+		} else {
+			log.Printf("cpu profile written to %s", rt.opts.CPUProf)
+		}
+	}
 	if rt.opts.Flight != "" {
 		if err := rt.Flight.Dump(rt.opts.Flight, "run exit"); err != nil {
 			log.Printf("flight: %v", err)

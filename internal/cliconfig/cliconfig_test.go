@@ -66,3 +66,26 @@ func TestSetupExtraSignals(t *testing.T) {
 		t.Fatal("SIGTERM did not cancel the runtime context")
 	}
 }
+
+// -cpuprofile profiles the whole run: Setup starts it, Close writes it.
+func TestCPUProfileWrittenOnClose(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cpu.pprof")
+	rt, err := Setup(&Options{CPUProf: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("profile not written by Close: %v", err)
+	}
+	// pprof profiles are gzip-compressed protocol buffers.
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("profile is not gzip data (%d bytes)", len(data))
+	}
+
+	if _, err := Setup(&Options{CPUProf: filepath.Join(dir, "missing", "cpu.pprof")}); err == nil {
+		t.Fatal("unwritable -cpuprofile path accepted")
+	}
+}

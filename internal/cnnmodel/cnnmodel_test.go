@@ -1,7 +1,11 @@
 package cnnmodel
 
 import (
+	"math"
+	"slices"
 	"testing"
+
+	"decepticon/internal/nn"
 )
 
 func TestGenerateImages(t *testing.T) {
@@ -38,6 +42,33 @@ func TestModelLearnsBlobTask(t *testing.T) {
 	m.Train(x, labels, TrainConfig{Epochs: 6, LR: 2e-3, Seed: 3})
 	if acc := m.Accuracy(x, labels); acc < 0.85 {
 		t.Fatalf("train accuracy %v < 0.85", acc)
+	}
+}
+
+// TestTrainWorkerCountInvariance trains the residual network (padded
+// convs, batch norm, pooling) at several worker counts through the same
+// Fit path Train uses; the parameters must match bit for bit.
+func TestTrainWorkerCountInvariance(t *testing.T) {
+	x, labels := GenerateImages("workers", 2, 24, 5)
+	var want []uint32
+	for _, workers := range []int{1, 2, 4} {
+		m := New(2, 7)
+		m.Net.Fit(x, labels, nn.TrainConfig{
+			Epochs: 2, BatchSize: 8, Optimizer: nn.NewAdamW(2e-3, 0.01), Seed: 3, Workers: workers,
+		})
+		var got []uint32
+		for _, p := range m.Net.Params() {
+			for _, v := range p.Data {
+				got = append(got, math.Float32bits(v))
+			}
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("parameters trained at %d workers differ from the serial run", workers)
+		}
 	}
 }
 

@@ -144,10 +144,11 @@ func (d *Dataset) Split(trainFrac float64, seed uint64) (train, test *Dataset) {
 type Classifier struct {
 	ImgSize int
 	Classes []string
-	// Workers bounds the goroutines used for trace preprocessing and
-	// batch evaluation; <= 0 selects GOMAXPROCS. It is a runtime knob,
-	// not part of the model: Save/LoadClassifier do not persist it, and
-	// results are identical for any value.
+	// Workers bounds the goroutines used for trace preprocessing, each
+	// training step's conv/pool/ReLU passes, and batch evaluation; <= 0
+	// selects GOMAXPROCS. It is a runtime knob, not part of the model:
+	// Save/LoadClassifier do not persist it, and results (trained weights
+	// included) are bit-identical for any value.
 	Workers int
 	// Obs, when set, receives the level-1 accounting: train/eval wall
 	// time (fingerprint.train_seconds, fingerprint.eval_seconds) and CNN
@@ -254,6 +255,7 @@ func (c *Classifier) TrainContext(ctx context.Context, d *Dataset, cfg TrainConf
 		Optimizer: nn.NewAdamW(cfg.LR, 0),
 		Seed:      cfg.Seed,
 		Stop:      func() bool { return ctx.Err() != nil },
+		Workers:   c.Workers,
 	})
 	c.Obs.Log().Info("fingerprint classifier trained",
 		"samples", len(d.Samples), "epochs", cfg.Epochs, "loss", loss)

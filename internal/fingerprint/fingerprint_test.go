@@ -2,6 +2,7 @@ package fingerprint
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -115,6 +116,34 @@ func TestDatasetWorkerCountInvariance(t *testing.T) {
 	par.AugmentNoise(2, 4, 2, 9, 3)
 	if !reflect.DeepEqual(serial.Samples, par.Samples) {
 		t.Fatal("augmented samples diverge across worker counts")
+	}
+}
+
+// TestTrainWorkerCountInvariance pins the parallel training step (conv,
+// pool and ReLU passes split over batch rows, weight gradients over
+// output channels) to the serial one: the trained parameters must match
+// bit for bit. It compares the float32 values themselves, not Save
+// output, whose gob type ids depend on what the process encoded before.
+func TestTrainWorkerCountInvariance(t *testing.T) {
+	_, train, _ := getTrained(t)
+	var want []uint32
+	for _, workers := range []int{1, 2, 4} {
+		clf := NewClassifier(64, train.Classes, 3)
+		clf.Workers = workers
+		clf.Train(train, TrainConfig{Epochs: 2, LR: 0.002, Seed: 4})
+		var got []uint32
+		for _, p := range clf.net.Params() {
+			for _, v := range p.Data {
+				got = append(got, math.Float32bits(v))
+			}
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parameters trained at %d workers differ from the serial run", workers)
+		}
 	}
 }
 

@@ -2,19 +2,30 @@ package fingerprint
 
 import (
 	"context"
+	"sync"
 	"testing"
 )
 
+var (
+	hierOnce sync.Once
+	testHier *Hierarchical
+	hierErr  error
+)
+
+// getHier trains the shared 60-epoch hierarchy once per test binary, as
+// getTrained does for the flat classifier; the tests only read it.
 func getHier(t *testing.T) (*Hierarchical, *Classifier, *Dataset, *Dataset) {
 	t.Helper()
 	flat, train, test := getTrained(t)
 	z := getZoo(t)
-	h, err := TrainHierarchical(context.Background(), z, train, 64,
-		TrainConfig{Epochs: 60, LR: 0.002, Seed: 4}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
+	hierOnce.Do(func() {
+		testHier, hierErr = TrainHierarchical(context.Background(), z, train, 64,
+			TrainConfig{Epochs: 60, LR: 0.002, Seed: 4}, 2, nil)
+	})
+	if hierErr != nil {
+		t.Fatal(hierErr)
 	}
-	return h, flat, train, test
+	return testHier, flat, train, test
 }
 
 // The hierarchy's structure must mirror the zoo: one family class per

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"decepticon/internal/parallel"
 	"decepticon/internal/rng"
 	"decepticon/internal/tensor"
 )
@@ -11,6 +12,11 @@ import (
 // Conv2D is a stride-1 2-D convolution over channel-major flattened
 // images with optional zero padding. Inputs are batches of InC×H×W
 // images; outputs are OutC×(H+2P-K+1)×(W+2P-K+1).
+//
+// The kernels are exact re-orderings of the direct 7-deep loop: every
+// output, weight gradient and input gradient is accumulated in the same
+// order, with the same roundings, as that loop did (DESIGN.md §4 states
+// the contract), so results are bit-identical for any worker count.
 type Conv2D struct {
 	InC, OutC, K int
 	H, W         int            // input spatial dimensions
@@ -21,6 +27,9 @@ type Conv2D struct {
 	dBias        *tensor.Matrix
 	x            *tensor.Matrix // cached (padded) input
 	batch        int
+
+	workers int     // train-mode fan-out set by Fit (0 = serial)
+	buf     buffers // train-mode scratch: xpad, out, dxpad, dx
 }
 
 // NewConv2D returns an unpadded ("valid") convolution layer for InC×H×W
@@ -61,46 +70,29 @@ func (c *Conv2D) OutH() int { return c.padH() - c.K + 1 }
 // OutW returns the output width.
 func (c *Conv2D) OutW() int { return c.padW() - c.K + 1 }
 
-// padInput copies a batch into its zero-padded layout.
-func (c *Conv2D) padInput(x *tensor.Matrix) *tensor.Matrix {
-	if c.Pad == 0 {
-		return x
-	}
+// padRow copies one image into its zero-padded layout. Only interior
+// cells are written: dst's border must already be zero.
+func (c *Conv2D) padRow(src, dst []float32) {
 	ph, pw := c.padH(), c.padW()
-	out := tensor.New(x.Rows, c.InC*ph*pw)
-	for b := 0; b < x.Rows; b++ {
-		src := x.Row(b)
-		dst := out.Row(b)
-		for ic := 0; ic < c.InC; ic++ {
-			for y := 0; y < c.H; y++ {
-				srcOff := ic*c.H*c.W + y*c.W
-				dstOff := ic*ph*pw + (y+c.Pad)*pw + c.Pad
-				copy(dst[dstOff:dstOff+c.W], src[srcOff:srcOff+c.W])
-			}
+	for ic := 0; ic < c.InC; ic++ {
+		for y := 0; y < c.H; y++ {
+			srcOff := ic*c.H*c.W + y*c.W
+			dstOff := ic*ph*pw + (y+c.Pad)*pw + c.Pad
+			copy(dst[dstOff:dstOff+c.W], src[srcOff:srcOff+c.W])
 		}
 	}
-	return out
 }
 
-// cropGrad maps a padded-input gradient back to the original layout.
-func (c *Conv2D) cropGrad(dxp *tensor.Matrix) *tensor.Matrix {
-	if c.Pad == 0 {
-		return dxp
-	}
+// cropRow maps one padded-input gradient back to the original layout.
+func (c *Conv2D) cropRow(src, dst []float32) {
 	ph, pw := c.padH(), c.padW()
-	out := tensor.New(dxp.Rows, c.InC*c.H*c.W)
-	for b := 0; b < dxp.Rows; b++ {
-		src := dxp.Row(b)
-		dst := out.Row(b)
-		for ic := 0; ic < c.InC; ic++ {
-			for y := 0; y < c.H; y++ {
-				srcOff := ic*ph*pw + (y+c.Pad)*pw + c.Pad
-				dstOff := ic*c.H*c.W + y*c.W
-				copy(dst[dstOff:dstOff+c.W], src[srcOff:srcOff+c.W])
-			}
+	for ic := 0; ic < c.InC; ic++ {
+		for y := 0; y < c.H; y++ {
+			srcOff := ic*ph*pw + (y+c.Pad)*pw + c.Pad
+			dstOff := ic*c.H*c.W + y*c.W
+			copy(dst[dstOff:dstOff+c.W], src[srcOff:srcOff+c.W])
 		}
 	}
-	return out
 }
 
 // OutSize returns the flattened output width (OutC*OutH*OutW).
@@ -111,86 +103,202 @@ func (c *Conv2D) Name() string {
 	return fmt.Sprintf("conv_%dto%d_k%d", c.InC, c.OutC, c.K)
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Batch rows are independent, so a train-mode
+// batch is split over rows on the layer's workers; inference passes run
+// serially and allocate fresh, so a trained network may serve concurrent
+// eval-mode forwards.
 func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != c.InC*c.H*c.W {
 		panic(fmt.Sprintf("nn: conv input %d, want %d", x.Cols, c.InC*c.H*c.W))
 	}
-	xp := c.padInput(x)
+	xp, workers := x, 1
+	var out *tensor.Matrix
+	padCols := c.InC * c.padH() * c.padW()
 	if train {
-		// Cache the padded input for Backward. Inference passes skip the
-		// cache so a trained network may serve concurrent eval-mode
-		// forwards.
-		c.batch = x.Rows
-		c.x = xp
+		// Cache the padded input for Backward. The padded scratch only
+		// ever has its interior written, so its border stays zero.
+		if c.Pad > 0 {
+			xp = c.buf.get(0, x.Rows, padCols)
+		}
+		out = c.buf.get(1, x.Rows, c.OutSize())
+		c.batch, c.x, workers = x.Rows, xp, c.workers
+	} else {
+		if c.Pad > 0 {
+			xp = tensor.New(x.Rows, padCols)
+		}
+		out = tensor.New(x.Rows, c.OutSize())
 	}
-	ph, pw := c.padH(), c.padW()
+	parallel.ForEach(x.Rows, max(workers, 1), func(b int) {
+		if c.Pad > 0 {
+			c.padRow(x.Row(b), xp.Row(b))
+		}
+		c.forwardRow(xp.Row(b), out.Row(b))
+	})
+	return out
+}
+
+// forwardRow convolves one padded image. Each output starts at its bias
+// and then takes the (ic, ky, kx) taps in order, as the direct loop did;
+// the loops are interchanged only so the innermost one runs contiguously
+// over output columns, with one kernel row's K taps accumulated in a
+// register between loads and stores of the output.
+func (c *Conv2D) forwardRow(in, dst []float32) {
+	K, pw := c.K, c.padW()
+	plane := c.padH() * pw
 	oh, ow := c.OutH(), c.OutW()
-	out := tensor.New(x.Rows, c.OutSize())
-	for b := 0; b < x.Rows; b++ {
-		in := xp.Row(b)
-		dst := out.Row(b)
-		for oc := 0; oc < c.OutC; oc++ {
-			w := c.Weight.Row(oc)
-			bias := c.Bias.Data[oc]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					s := bias
-					wi := 0
-					for ic := 0; ic < c.InC; ic++ {
-						plane := in[ic*ph*pw:]
-						for ky := 0; ky < c.K; ky++ {
-							rowOff := (oy+ky)*pw + ox
-							for kx := 0; kx < c.K; kx++ {
-								s += w[wi] * plane[rowOff+kx]
-								wi++
-							}
-						}
-					}
-					dst[(oc*oh+oy)*ow+ox] = s
+	for oc := 0; oc < c.OutC; oc++ {
+		w := c.Weight.Row(oc)
+		bias := c.Bias.Data[oc]
+		for oy := 0; oy < oh; oy++ {
+			acc := dst[(oc*oh+oy)*ow : (oc*oh+oy+1)*ow]
+			for i := range acc {
+				acc[i] = bias
+			}
+			for ic := 0; ic < c.InC; ic++ {
+				for ky := 0; ky < K; ky++ {
+					off := ic*plane + (oy+ky)*pw
+					rowTaps(acc, in[off:off+ow+K-1], w[(ic*K+ky)*K:(ic*K+ky+1)*K])
 				}
 			}
 		}
 	}
-	return out
+}
+
+// rowTaps adds one kernel row to every output column:
+// acc[x] = ((acc[x] + w[0]*r[x]) + w[1]*r[x+1]) + …, one rounding per
+// operation, left to right. len(r) must be len(acc)+len(w)-1.
+func rowTaps(acc, r, w []float32) {
+	switch len(w) {
+	case 5:
+		w0, w1, w2, w3, w4 := w[0], w[1], w[2], w[3], w[4]
+		for x := range acc {
+			t := r[x : x+5 : x+5]
+			s := acc[x]
+			s += w0 * t[0]
+			s += w1 * t[1]
+			s += w2 * t[2]
+			s += w3 * t[3]
+			s += w4 * t[4]
+			acc[x] = s
+		}
+	case 4:
+		w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+		for x := range acc {
+			t := r[x : x+4 : x+4]
+			s := acc[x]
+			s += w0 * t[0]
+			s += w1 * t[1]
+			s += w2 * t[2]
+			s += w3 * t[3]
+			acc[x] = s
+		}
+	case 3:
+		w0, w1, w2 := w[0], w[1], w[2]
+		for x := range acc {
+			t := r[x : x+3 : x+3]
+			s := acc[x]
+			s += w0 * t[0]
+			s += w1 * t[1]
+			s += w2 * t[2]
+			acc[x] = s
+		}
+	default:
+		for x := range acc {
+			t := r[x : x+len(w)]
+			s := acc[x]
+			for k, wk := range w {
+				s += wk * t[k]
+			}
+			acc[x] = s
+		}
+	}
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	ph, pw := c.padH(), c.padW()
+	c.backwardParams(grad)
+	return c.backwardInput(grad)
+}
+
+// backwardParams accumulates dW and dB, split over output channels. Each
+// element still sums its terms in (b, oy, ox) order, starting from its
+// current value, and zero output gradients are skipped as the direct
+// loop skipped them — behind a max-pool most are zero, which keeps this
+// pass sparse. Splitting by batch row instead would need per-row partial
+// sums and a reduction that changes the rounding.
+func (c *Conv2D) backwardParams(grad *tensor.Matrix) {
+	K, pw := c.K, c.padW()
+	plane := c.padH() * pw
 	oh, ow := c.OutH(), c.OutW()
-	dxp := tensor.New(c.batch, c.InC*ph*pw)
-	for b := 0; b < c.batch; b++ {
-		in := c.x.Row(b)
-		din := dxp.Row(b)
-		g := grad.Row(b)
-		for oc := 0; oc < c.OutC; oc++ {
-			w := c.Weight.Row(oc)
-			dw := c.dWeight.Row(oc)
+	parallel.ForEach(c.OutC, max(c.workers, 1), func(oc int) {
+		dw := c.dWeight.Row(oc)
+		db := c.dBias.Data[oc]
+		for b := 0; b < c.batch; b++ {
+			in := c.x.Row(b)
+			g := grad.Row(b)[oc*oh*ow : (oc+1)*oh*ow]
 			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					gv := g[(oc*oh+oy)*ow+ox]
+				for ox, gv := range g[oy*ow : (oy+1)*ow] {
 					if gv == 0 {
 						continue
 					}
-					c.dBias.Data[oc] += gv
-					wi := 0
+					db += gv
 					for ic := 0; ic < c.InC; ic++ {
-						off := ic * ph * pw
-						for ky := 0; ky < c.K; ky++ {
-							rowOff := off + (oy+ky)*pw + ox
-							for kx := 0; kx < c.K; kx++ {
-								dw[wi] += gv * in[rowOff+kx]
-								din[rowOff+kx] += gv * w[wi]
-								wi++
+						for ky := 0; ky < K; ky++ {
+							off := ic*plane + (oy+ky)*pw + ox
+							r := in[off : off+K]
+							dk := dw[(ic*K+ky)*K : (ic*K+ky+1)*K]
+							for kx, v := range r {
+								dk[kx] += gv * v
 							}
 						}
 					}
 				}
 			}
 		}
+		c.dBias.Data[oc] = db
+	})
+}
+
+// backwardInput returns the input gradient, split over batch rows. Each
+// input cell sums its terms in (oc, oy, ox) order, skipping zero output
+// gradients, exactly as the direct loop did.
+func (c *Conv2D) backwardInput(grad *tensor.Matrix) *tensor.Matrix {
+	K, pw := c.K, c.padW()
+	plane := c.padH() * pw
+	oh, ow := c.OutH(), c.OutW()
+	dxp := c.buf.get(2, c.batch, c.InC*plane)
+	dx := dxp
+	if c.Pad > 0 {
+		dx = c.buf.get(3, c.batch, c.InC*c.H*c.W)
 	}
-	return c.cropGrad(dxp)
+	parallel.ForEach(c.batch, max(c.workers, 1), func(b int) {
+		din := dxp.Row(b)
+		clear(din)
+		g := grad.Row(b)
+		for oc := 0; oc < c.OutC; oc++ {
+			w := c.Weight.Row(oc)
+			for oy := 0; oy < oh; oy++ {
+				for ox, gv := range g[(oc*oh+oy)*ow : (oc*oh+oy+1)*ow] {
+					if gv == 0 {
+						continue
+					}
+					for ic := 0; ic < c.InC; ic++ {
+						for ky := 0; ky < K; ky++ {
+							off := ic*plane + (oy+ky)*pw + ox
+							d := din[off : off+K]
+							for kx, wv := range w[(ic*K+ky)*K : (ic*K+ky+1)*K] {
+								d[kx] += gv * wv
+							}
+						}
+					}
+				}
+			}
+		}
+		if c.Pad > 0 {
+			c.cropRow(din, dx.Row(b))
+		}
+	})
+	return dx
 }
 
 // Params implements Layer.
@@ -199,12 +307,21 @@ func (c *Conv2D) Params() []*tensor.Matrix { return []*tensor.Matrix{c.Weight, c
 // Grads implements Layer.
 func (c *Conv2D) Grads() []*tensor.Matrix { return []*tensor.Matrix{c.dWeight, c.dBias} }
 
+func (c *Conv2D) beginTrain(workers int) { c.workers = workers }
+
+func (c *Conv2D) endTrain() {
+	c.workers, c.x, c.batch, c.buf = 0, nil, 0, buffers{}
+}
+
 // MaxPool2D is a non-overlapping K×K max pooling layer over channel-major
 // flattened images. Input dimensions must be divisible by K.
 type MaxPool2D struct {
 	C, H, W, K int
 	argmax     []int // per batch element and output cell: input index of max
 	batch      int
+
+	workers int     // train-mode fan-out set by Fit (0 = serial)
+	buf     buffers // train-mode scratch: out, dx
 }
 
 // NewMaxPool2D returns a K×K stride-K max pooling layer for C×H×W inputs.
@@ -232,56 +349,70 @@ func (p *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != p.C*p.H*p.W {
 		panic(fmt.Sprintf("nn: pool input %d, want %d", x.Cols, p.C*p.H*p.W))
 	}
-	oh, ow := p.OutH(), p.OutW()
-	out := tensor.New(x.Rows, p.OutSize())
-	var argmax []int
-	if train {
-		// Max routing is cached for Backward only during training; see
-		// Conv2D.Forward.
-		p.batch = x.Rows
-		argmax = make([]int, x.Rows*p.OutSize())
-		p.argmax = argmax
+	size := p.OutSize()
+	if !train {
+		out := tensor.New(x.Rows, size)
+		for b := 0; b < x.Rows; b++ {
+			p.forwardRow(x.Row(b), out.Row(b), nil)
+		}
+		return out
 	}
-	for b := 0; b < x.Rows; b++ {
-		in := x.Row(b)
-		dst := out.Row(b)
-		for c := 0; c < p.C; c++ {
-			plane := c * p.H * p.W
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bestIdx := plane + oy*p.K*p.W + ox*p.K
-					best := in[bestIdx]
-					for ky := 0; ky < p.K; ky++ {
-						for kx := 0; kx < p.K; kx++ {
-							idx := plane + (oy*p.K+ky)*p.W + ox*p.K + kx
-							if in[idx] > best {
-								best = in[idx]
-								bestIdx = idx
-							}
+	// Max routing is cached for Backward only during training; see
+	// Conv2D.Forward.
+	out := p.buf.get(0, x.Rows, size)
+	if n := x.Rows * size; cap(p.argmax) < n {
+		p.argmax = make([]int, n)
+	} else {
+		p.argmax = p.argmax[:n]
+	}
+	p.batch = x.Rows
+	parallel.ForEach(x.Rows, rowWorkers(p.workers, x), func(b int) {
+		p.forwardRow(x.Row(b), out.Row(b), p.argmax[b*size:(b+1)*size])
+	})
+	return out
+}
+
+// forwardRow pools one image, recording the argmax of each window when
+// argmax is non-nil. Ties keep the first maximum in (ky, kx) order.
+func (p *MaxPool2D) forwardRow(in, dst []float32, argmax []int) {
+	oh, ow := p.OutH(), p.OutW()
+	for c := 0; c < p.C; c++ {
+		plane := c * p.H * p.W
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				bestIdx := plane + oy*p.K*p.W + ox*p.K
+				best := in[bestIdx]
+				for ky := 0; ky < p.K; ky++ {
+					row := plane + (oy*p.K+ky)*p.W + ox*p.K
+					for kx, v := range in[row : row+p.K] {
+						if v > best {
+							best = v
+							bestIdx = row + kx
 						}
 					}
-					oidx := (c*oh+oy)*ow + ox
-					dst[oidx] = best
-					if argmax != nil {
-						argmax[b*p.OutSize()+oidx] = bestIdx
-					}
+				}
+				oidx := (c*oh+oy)*ow + ox
+				dst[oidx] = best
+				if argmax != nil {
+					argmax[oidx] = bestIdx
 				}
 			}
 		}
 	}
-	return out
 }
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	dx := tensor.New(p.batch, p.C*p.H*p.W)
-	for b := 0; b < p.batch; b++ {
-		g := grad.Row(b)
+	size := p.OutSize()
+	dx := p.buf.get(1, p.batch, p.C*p.H*p.W)
+	parallel.ForEach(p.batch, rowWorkers(p.workers, dx), func(b int) {
 		din := dx.Row(b)
-		for i, gv := range g {
-			din[p.argmax[b*p.OutSize()+i]] += gv
+		clear(din)
+		route := p.argmax[b*size : (b+1)*size]
+		for i, gv := range grad.Row(b) {
+			din[route[i]] += gv
 		}
-	}
+	})
 	return dx
 }
 
@@ -290,3 +421,9 @@ func (p *MaxPool2D) Params() []*tensor.Matrix { return nil }
 
 // Grads implements Layer.
 func (p *MaxPool2D) Grads() []*tensor.Matrix { return nil }
+
+func (p *MaxPool2D) beginTrain(workers int) { p.workers = workers }
+
+func (p *MaxPool2D) endTrain() {
+	p.workers, p.argmax, p.batch, p.buf = 0, nil, 0, buffers{}
+}

@@ -13,13 +13,16 @@ import (
 	"fmt"
 	"math"
 
+	"decepticon/internal/parallel"
 	"decepticon/internal/rng"
 	"decepticon/internal/tensor"
 )
 
 // Layer is a differentiable network stage. Forward must be called before
 // Backward; layers may cache activations between the two calls, so a Layer
-// instance is not safe for concurrent use.
+// instance is not safe for concurrent use. A train-mode result may live
+// in a layer-owned scratch buffer that the layer's next call of the same
+// kind overwrites; eval-mode forwards always return fresh matrices.
 type Layer interface {
 	// Name identifies the layer type (used in traces and error messages).
 	Name() string
@@ -72,12 +75,17 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
+	d.backwardParams(grad)
+	return tensor.MatMulNT(grad, d.W)
+}
+
+// backwardParams accumulates dW and dB without the input gradient.
+func (d *Dense) backwardParams(grad *tensor.Matrix) {
 	tensor.AddInPlace(d.dW, tensor.MatMulTN(d.x, grad))
 	bg := grad.SumRows()
 	for i := range bg {
 		d.dB.Data[i] += bg[i]
 	}
-	return tensor.MatMulNT(grad, d.W)
 }
 
 // Params implements Layer.
@@ -88,7 +96,10 @@ func (d *Dense) Grads() []*tensor.Matrix { return []*tensor.Matrix{d.dW, d.dB} }
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	mask *tensor.Matrix
+	y *tensor.Matrix // train-mode output, kept for Backward
+
+	workers int     // train-mode fan-out set by Fit (0 = serial)
+	buf     buffers // train-mode scratch: out, dx
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -97,18 +108,45 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Name implements Layer.
 func (r *ReLU) Name() string { return "relu" }
 
-// Forward implements Layer. The gradient mask is cached only when train
-// is set (see Dense.Forward).
+// Forward implements Layer. Only train-mode passes touch layer state
+// (see Dense.Forward); they keep the output, which is positive exactly
+// where the input is, in place of a separate gradient mask.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if train {
-		r.mask = tensor.ReLUGradMask(x)
+	if !train {
+		return tensor.ReLU(x)
 	}
-	return tensor.ReLU(x)
+	r.y = r.buf.get(0, x.Rows, x.Cols)
+	parallel.ForEach(x.Rows, rowWorkers(r.workers, x), func(b int) {
+		dst := r.y.Row(b)
+		for i, v := range x.Row(b) {
+			// v > 0 exactly when its bits minus one, unsigned, fall below
+			// +Inf's: zero and the negatives wrap high, NaNs sit above.
+			// The integer select compiles without a branch, which the
+			// sign of a conv output would mispredict half the time.
+			bits := math.Float32bits(v)
+			var o uint32
+			if bits-1 < 0x7f800000 {
+				o = bits
+			}
+			dst[i] = math.Float32frombits(o)
+		}
+	})
+	return r.y
 }
 
-// Backward implements Layer.
+// Backward implements Layer: the gradient times a 0/1 mask, the same
+// product tensor.Hadamard forms with tensor.ReLUGradMask.
 func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	return tensor.Hadamard(grad, r.mask)
+	dx := r.buf.get(1, grad.Rows, grad.Cols)
+	parallel.ForEach(grad.Rows, rowWorkers(r.workers, grad), func(b int) {
+		y, dst := r.y.Row(b), dx.Row(b)
+		for i, g := range grad.Row(b) {
+			// The kept output is +0 or positive, so its bits are
+			// non-zero exactly where the mask is 1.
+			dst[i] = g * float32(min(math.Float32bits(y[i]), 1))
+		}
+	})
+	return dx
 }
 
 // Params implements Layer.
@@ -116,6 +154,58 @@ func (r *ReLU) Params() []*tensor.Matrix { return nil }
 
 // Grads implements Layer.
 func (r *ReLU) Grads() []*tensor.Matrix { return nil }
+
+func (r *ReLU) beginTrain(workers int) { r.workers = workers }
+
+func (r *ReLU) endTrain() { r.workers, r.y, r.buf = 0, nil, buffers{} }
+
+// trainer is implemented by layers whose train-mode passes fan out over
+// workers or keep scratch buffers. Fit calls beginTrain before its first
+// batch and endTrain after its last, which drops the scratch and caches
+// so a trained network holds only its parameters.
+type trainer interface {
+	beginTrain(workers int)
+	endTrain()
+}
+
+// paramBackwarder is implemented by layers that can accumulate their
+// parameter gradients without computing an input gradient — all Fit
+// needs from a network's first layer.
+type paramBackwarder interface {
+	backwardParams(grad *tensor.Matrix)
+}
+
+// buffers holds a layer's train-mode scratch matrices, one per slot. A
+// slot is reused batch after batch, so a matrix returned by a
+// train-mode Forward or Backward stays valid only until the layer's next
+// call of the same kind — which is all Fit and Sequential need.
+type buffers [4]*tensor.Matrix
+
+// get returns slot i shaped rows×cols. It allocates (zeroed) only when
+// the slot is too small; otherwise the contents are what the slot last
+// held.
+func (bs *buffers) get(i, rows, cols int) *tensor.Matrix {
+	m := bs[i]
+	if m == nil || cap(m.Data) < rows*cols {
+		m = tensor.New(rows, cols)
+		bs[i] = m
+		return m
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
+// minParallelCells is the smallest matrix an elementwise train-mode pass
+// splits over its workers; below it the fan-out costs more than it saves.
+const minParallelCells = 1 << 15
+
+// rowWorkers returns the fan-out for an elementwise pass over m's rows.
+func rowWorkers(workers int, m *tensor.Matrix) int {
+	if len(m.Data) < minParallelCells {
+		return 1
+	}
+	return max(workers, 1)
+}
 
 // SoftmaxCrossEntropy computes the mean cross-entropy loss of logits
 // against integer labels and the gradient of the loss with respect to the

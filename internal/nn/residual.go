@@ -51,3 +51,19 @@ func (r *Residual) Grads() []*tensor.Matrix {
 	}
 	return gs
 }
+
+func (r *Residual) beginTrain(workers int) {
+	for _, l := range r.Path {
+		if t, ok := l.(trainer); ok {
+			t.beginTrain(workers)
+		}
+	}
+}
+
+func (r *Residual) endTrain() {
+	for _, l := range r.Path {
+		if t, ok := l.(trainer); ok {
+			t.endTrain()
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"decepticon/internal/parallel"
 	"decepticon/internal/rng"
 	"decepticon/internal/stats"
 	"decepticon/internal/tensor"
@@ -29,6 +30,34 @@ func (s *Sequential) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		grad = s.Layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// trainStep runs one mini-batch step — forward, cross-entropy loss,
+// backward, optimizer update — and returns the batch's mean loss. Nothing
+// consumes the gradient of the network input, so the first layer skips
+// computing it when it can.
+func (s *Sequential) trainStep(x *tensor.Matrix, labels []int, opt Optimizer) float64 {
+	loss, grad := SoftmaxCrossEntropy(s.Forward(x, true), labels)
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		grad = s.Layers[i].Backward(grad)
+	}
+	if pb, ok := s.Layers[0].(paramBackwarder); ok {
+		pb.backwardParams(grad)
+	} else {
+		s.Layers[0].Backward(grad)
+	}
+	opt.Step(s.Params(), s.Grads())
+	return loss
+}
+
+// eachTrainer calls fn on every layer that keeps train-mode state (a
+// Residual passes the call on to its path).
+func (s *Sequential) eachTrainer(fn func(trainer)) {
+	for _, l := range s.Layers {
+		if t, ok := l.(trainer); ok {
+			fn(t)
+		}
+	}
 }
 
 // Params returns all trainable tensors in layer order.
@@ -73,6 +102,11 @@ type TrainConfig struct {
 	// mutate the network in place, so the abort granularity is a whole
 	// epoch — callers wire a context's Done state in here.
 	Stop func() bool
+	// Workers bounds the goroutines one training step fans out over
+	// (<= 0 selects GOMAXPROCS). The layers split their work without
+	// changing any accumulation order, so the trained parameters are
+	// bit-identical for every value.
+	Workers int
 }
 
 // Fit trains the network on (x, labels) with shuffled mini-batches and
@@ -90,6 +124,8 @@ func (s *Sequential) Fit(x *tensor.Matrix, labels []int, cfg TrainConfig) float6
 	if cfg.Optimizer == nil {
 		cfg.Optimizer = &SGD{LR: 0.01}
 	}
+	s.eachTrainer(func(t trainer) { t.beginTrain(parallel.Workers(cfg.Workers)) })
+	defer s.eachTrainer(trainer.endTrain)
 	r := rng.New(cfg.Seed)
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -111,11 +147,7 @@ func (s *Sequential) Fit(x *tensor.Matrix, labels []int, cfg TrainConfig) float6
 				copy(xb.Row(i), x.Row(p))
 				yb[i] = labels[p]
 			}
-			logits := s.Forward(xb, true)
-			loss, grad := SoftmaxCrossEntropy(logits, yb)
-			s.Backward(grad)
-			cfg.Optimizer.Step(s.Params(), s.Grads())
-			epochLoss += loss
+			epochLoss += s.trainStep(xb, yb, cfg.Optimizer)
 			batches++
 		}
 		lastLoss = epochLoss / float64(batches)

@@ -22,9 +22,9 @@ func TestCausalMaskBlocksFuture(t *testing.T) {
 	b := []int{1, 2, 3, 4, 9} // only the last token differs
 
 	xa := m.embed(a)
-	outA := m.Blocks[0].forward(xa, m.Heads, m.HeadDim(), true).Clone()
+	outA := m.Blocks[0].forward(xa, m.Heads, m.HeadDim(), true, new(blockCache)).Clone()
 	xb := m.embed(b)
-	outB := m.Blocks[0].forward(xb, m.Heads, m.HeadDim(), true)
+	outB := m.Blocks[0].forward(xb, m.Heads, m.HeadDim(), true, new(blockCache))
 
 	for i := 0; i < 4; i++ {
 		for j := 0; j < m.Hidden; j++ {
@@ -51,8 +51,8 @@ func TestEncoderSeesFuture(t *testing.T) {
 	m := New(testConfig(), 21)
 	a := []int{1, 2, 3, 4, 5}
 	b := []int{1, 2, 3, 4, 9}
-	outA := m.Blocks[0].forward(m.embed(a), m.Heads, m.HeadDim(), false).Clone()
-	outB := m.Blocks[0].forward(m.embed(b), m.Heads, m.HeadDim(), false)
+	outA := m.Blocks[0].forward(m.embed(a), m.Heads, m.HeadDim(), false, new(blockCache)).Clone()
+	outB := m.Blocks[0].forward(m.embed(b), m.Heads, m.HeadDim(), false, new(blockCache))
 	diff := false
 	for j := 0; j < m.Hidden; j++ {
 		if outA.At(0, j) != outB.At(0, j) {
@@ -66,7 +66,7 @@ func TestEncoderSeesFuture(t *testing.T) {
 
 func TestCausalAttentionRowsNormalize(t *testing.T) {
 	m := New(causalConfig(), 22)
-	m.Logits([]int{1, 2, 3, 4})
+	m.forwardCached([]int{1, 2, 3, 4})
 	for h, probs := range m.Blocks[0].cache.probs {
 		if probs == nil {
 			continue

@@ -73,9 +73,14 @@ type Block struct {
 	// attention output.
 	HeadPruned []bool
 
+	// cache holds the activations of the block's last training-path
+	// forward for backward and head-importance scoring. Inference
+	// forwards use a call-local cache instead, so one model can serve
+	// concurrent predictions.
 	cache blockCache
 }
 
+// blockCache is one block forward's saved activations.
 type blockCache struct {
 	x       *tensor.Matrix   // block input S×H
 	q, k, v *tensor.Matrix   // S×H
@@ -96,11 +101,6 @@ type Model struct {
 	Blocks []*Block
 	HeadW  P // Hidden×Labels: the task-dependent last layer
 	HeadB  P // 1×Labels
-
-	embCache struct {
-		tokens []int
-		x      *tensor.Matrix
-	}
 }
 
 // New returns a model initialized with DefaultInit (BERT's N(0, 0.02)).
@@ -241,8 +241,8 @@ func addHeadSlice(dst, src *tensor.Matrix, h, headDim int) {
 // softmax those positions carry effectively zero weight.
 const causalMaskValue = -1e9
 
-func (b *Block) forward(x *tensor.Matrix, heads, headDim int, causal bool) *tensor.Matrix {
-	c := &b.cache
+// forward runs the block on x, saving its activations in c.
+func (b *Block) forward(x *tensor.Matrix, heads, headDim int, causal bool, c *blockCache) *tensor.Matrix {
 	c.x = x
 	c.q = tensor.MatMul(x, b.Wq.V)
 	c.q.AddRowVector(b.Bq.V.Data)
@@ -421,15 +421,26 @@ func (m *Model) headLogits(pooled []float32) []float32 {
 	return logits
 }
 
-// Logits runs a forward pass and returns the classification logits.
+// Logits runs a forward pass and returns the classification logits. It
+// writes no model state, so concurrent calls on one model are safe.
 func (m *Model) Logits(tokens []int) []float32 {
 	x := m.embed(tokens)
-	m.embCache.tokens = tokens
-	m.embCache.x = x
+	var c blockCache
 	for _, b := range m.Blocks {
-		x = b.forward(x, m.Heads, m.HeadDim(), m.Causal)
+		x = b.forward(x, m.Heads, m.HeadDim(), m.Causal, &c)
 	}
 	return m.headLogits(m.pool(x))
+}
+
+// forwardCached runs embed and every block, saving each block's
+// activations in its own cache for backward or head scoring, and
+// returns the final block output. Not safe for concurrent use.
+func (m *Model) forwardCached(tokens []int) *tensor.Matrix {
+	x := m.embed(tokens)
+	for _, b := range m.Blocks {
+		x = b.forward(x, m.Heads, m.HeadDim(), m.Causal, &b.cache)
+	}
+	return x
 }
 
 // Predict returns the argmax class for tokens.
@@ -460,13 +471,7 @@ func (m *Model) LossAndBackward(tokens []int, label int) (float64, *tensor.Matri
 		panic(fmt.Sprintf("transformer: label %d out of range [0,%d)", label, m.Labels))
 	}
 	// Forward (re-runs embed + blocks so caches are fresh).
-	x := m.embed(tokens)
-	m.embCache.tokens = tokens
-	m.embCache.x = x
-	acts := x
-	for _, b := range m.Blocks {
-		acts = b.forward(acts, m.Heads, m.HeadDim(), m.Causal)
-	}
+	acts := m.forwardCached(tokens)
 	pooled := m.pool(acts)
 	logits := m.headLogits(pooled)
 	probs := tensor.SoftmaxRows(tensor.FromSlice(1, len(logits), logits)).Row(0)

@@ -206,7 +206,7 @@ func (m *Model) HeadConfidence(probes [][]int) [][]float64 {
 		return conf
 	}
 	for _, tokens := range probes {
-		m.Logits(tokens) // fills block caches
+		m.forwardCached(tokens)
 		for l, b := range m.Blocks {
 			for h := 0; h < m.Heads; h++ {
 				if b.HeadPruned[h] || b.cache.probs[h] == nil {
@@ -250,7 +250,7 @@ func (m *Model) HeadConfidenceSeries(probes [][]int) [][][]float64 {
 		}
 	}
 	for pi, tokens := range probes {
-		m.Logits(tokens) // fills block caches
+		m.forwardCached(tokens)
 		for l, b := range m.Blocks {
 			for h := 0; h < m.Heads; h++ {
 				if b.HeadPruned[h] || b.cache.probs[h] == nil {
