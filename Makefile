@@ -7,8 +7,12 @@ all: verify
 build:
 	$(GO) build ./...
 
+# vet also checks formatting and vets the pure-Go (non-amd64) build, so
+# the portable fallbacks of the assembly kernels keep compiling.
 vet:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Static analysis beyond vet. staticcheck is optional locally — the
 # target explains and succeeds when the binary is absent (CI installs
@@ -90,7 +94,9 @@ trace-smoke:
 # never-interrupted campaign's exactly (Ctrl-C behaves like a read
 # budget: checkpoint, report interrupted, resume byte-identically). The
 # zoo cache is pre-built so every campaign run starts from the same
-# counters and the signal lands in the attack phase, not the build.
+# counters and the signal lands in the attack phase, not the build; the
+# checkpoint poll is fine-grained because a tiny campaign's attack phase
+# lasts well under a second.
 cancel-smoke:
 	rm -rf .cancel-smoke && mkdir -p .cancel-smoke
 	$(GO) build -o .cancel-smoke/decepticon ./cmd/decepticon
@@ -104,7 +110,7 @@ cancel-smoke:
 		-flight .cancel-smoke/flight.json >/dev/null & \
 	  pid=$$!; \
 	  i=0; until ls .cancel-smoke/ckpt/*.ckpt >/dev/null 2>&1; do \
-	    i=$$((i+1)); test $$i -le 600 || break; sleep 0.1; done; \
+	    i=$$((i+1)); test $$i -le 6000 || break; sleep 0.01; done; \
 	  kill -INT $$pid 2>/dev/null; wait $$pid || true )
 	test -s .cancel-smoke/interrupted.json
 	test -s .cancel-smoke/flight.json

@@ -12,9 +12,10 @@
 //	BENCH_substrate.json — substrate hot-path timings (GEMM, transformer
 //	                       forward/backward, level-1 CNN conv and train
 //	                       step, trace simulation/render, Algorithm 1)
-//	                       normalized by an in-process scalar-triad
-//	                       calibration loop, so the numbers track the
-//	                       code, not the machine. The gate
+//	                       normalized by in-process scalar-triad
+//	                       calibration bursts paired with short runs of
+//	                       each metric, so the numbers track the code,
+//	                       not the machine. The gate
 //	                       compares them within a tolerance (default
 //	                       ±20%, -tol to adjust).
 //
@@ -39,6 +40,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"decepticon/internal/extract"
 	"decepticon/internal/fingerprint"
@@ -73,6 +75,7 @@ const (
 )
 
 func main() {
+	testing.Init() // registers -test.benchtime, which measure sets
 	write := flag.Bool("write", false, "regenerate the committed snapshot files")
 	gate := flag.Bool("gate", false, "compare current measurements against the committed snapshots")
 	quick := flag.Bool("quick", false, "deterministic extract metrics only (skip timing measurements)")
@@ -86,7 +89,19 @@ func main() {
 
 	cur := map[string]*snapshot{extractFile: extractSnapshot()}
 	if !*quick {
-		cur[substrateFile] = substrateSnapshot()
+		// A gate run is one pass; the committed reference is the
+		// per-metric median of snapPasses passes, so one slow spell at
+		// snapshot time does not become the bar every later run is held
+		// to.
+		passes := 1
+		if *write {
+			passes = snapPasses
+		}
+		subs := make([]*snapshot, passes)
+		for i := range subs {
+			subs[i] = substrateSnapshot()
+		}
+		cur[substrateFile] = medianSnapshot(subs)
 	}
 
 	if *write {
@@ -244,11 +259,12 @@ func extractSnapshot() *snapshot {
 
 // --------------------------------------------------------- substrate gate
 
-// calibrate measures a fixed scalar-triad loop and returns its ns per
-// iteration. Dividing every substrate timing by this factor cancels the
-// host's raw float throughput, leaving a machine-portable ratio that
-// moves only when the measured code changes shape.
-func calibrate() float64 {
+// calibrate times a fixed scalar-triad loop calibSamples times and
+// returns each sample's ns per pass. Dividing a substrate timing by this
+// factor cancels the host's raw float throughput, leaving a
+// machine-portable ratio that moves only when the measured code changes
+// shape.
+func calibrate() []float64 {
 	a := make([]float32, 4096)
 	c := make([]float32, 4096)
 	for i := range a {
@@ -256,22 +272,81 @@ func calibrate() float64 {
 		c[i] = float32(i%5) * 0.5
 	}
 	s := float32(1.0001)
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+	out := make([]float64, calibSamples)
+	for k := range out {
+		start := time.Now()
+		for p := 0; p < calibPasses; p++ {
 			for j := range a {
 				a[j] += s * c[j]
 			}
 		}
-	})
-	return float64(res.NsPerOp())
+		out[k] = float64(time.Since(start).Nanoseconds()) / calibPasses
+	}
+	return out
+}
+
+// A normalized metric is the median over measureRounds rounds of one
+// ratio: the metric's ns/op over roundTime of iterations, divided by the
+// median of calibSamples triad bursts (a few ms) taken right before it.
+// A shared host's throughput swings by 2x within seconds, so a single
+// start-up calibration lets a slow spell move every ratio at once;
+// pairing each short run with an adjacent calibration keeps both on the
+// same side of a swing.
+const (
+	calibSamples  = 3
+	calibPasses   = 500
+	measureRounds = 30
+	roundTime     = "20ms"
+)
+
+// snapPasses is how many substrate passes -write takes the median of.
+const snapPasses = 3
+
+// medianSnapshot returns subs[0] with every normalized metric replaced by
+// its median across subs.
+func medianSnapshot(subs []*snapshot) *snapshot {
+	out := subs[0]
+	for key := range out.Normalized {
+		vals := make([]float64, len(subs))
+		for i, s := range subs {
+			vals[i] = s.Normalized[key]
+		}
+		out.Normalized[key] = median(vals)
+	}
+	return out
+}
+
+func median(v []float64) float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// setBenchtime sets the iteration budget testing.Benchmark uses.
+func setBenchtime(v string) {
+	if err := flag.Set("test.benchtime", v); err != nil {
+		fatal(err)
+	}
 }
 
 func substrateSnapshot() *snapshot {
-	calib := calibrate()
 	norm := map[string]float64{}
 	measure := func(name string, fn func(b *testing.B)) {
-		res := testing.Benchmark(fn)
-		norm[name+"_norm"] = float64(res.NsPerOp()) / calib
+		// Size a round at roundTime, then time rounds of exactly that
+		// many iterations.
+		setBenchtime(roundTime)
+		setBenchtime(fmt.Sprintf("%dx", testing.Benchmark(fn).N))
+		ratios := make([]float64, measureRounds)
+		for i := range ratios {
+			calib := median(calibrate())
+			res := testing.Benchmark(fn)
+			ratios[i] = float64(res.T.Nanoseconds()) / float64(res.N) / calib
+		}
+		norm[name+"_norm"] = median(ratios)
 	}
 
 	r := rng.New(1)
@@ -415,7 +490,7 @@ func substrateSnapshot() *snapshot {
 	return &snapshot{
 		Version:    1,
 		Kind:       "substrate",
-		Note:       fmt.Sprintf("hot-path timings normalized by a scalar-triad calibration loop (recorded on %s/%s); gated within a relative tolerance", runtime.GOOS, runtime.GOARCH),
+		Note:       fmt.Sprintf("hot-path timings, each the median over short runs of ns/op divided by an adjacent scalar-triad calibration (recorded on %s/%s); gated within a relative tolerance", runtime.GOOS, runtime.GOARCH),
 		Normalized: norm,
 	}
 }

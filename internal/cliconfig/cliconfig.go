@@ -28,6 +28,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -51,6 +52,7 @@ type Options struct {
 	Trace    string
 	LogLevel string
 	CPUProf  string
+	MemProf  string
 
 	// Cache group.
 	Cache         string
@@ -76,7 +78,7 @@ type Options struct {
 }
 
 // RegisterCommon declares the flags every CLI shares: -scale, -workers,
-// -metrics, -pprof, -trace, -log-level, -cpuprofile.
+// -metrics, -pprof, -trace, -log-level, -cpuprofile, -memprofile.
 func (o *Options) RegisterCommon(fs *flag.FlagSet) {
 	fs.StringVar(&o.Scale, "scale", "small", "population scale: tiny | small | full")
 	fs.IntVar(&o.Workers, "workers", 0, "worker goroutines for model training, trace measurement, and campaigns (0 = all cores); results are identical for any value")
@@ -85,6 +87,7 @@ func (o *Options) RegisterCommon(fs *flag.FlagSet) {
 	fs.StringVar(&o.Trace, "trace", "", "write a Chrome/Perfetto trace_event JSON file on exit (simulated clocks; byte-identical for any -workers)")
 	fs.StringVar(&o.LogLevel, "log-level", "", "structured log level on stderr: debug | info | warn | error (default off)")
 	fs.StringVar(&o.CPUProf, "cpuprofile", "", "write a CPU profile of the whole run to this file on exit (read it with go tool pprof)")
+	fs.StringVar(&o.MemProf, "memprofile", "", "write a heap allocation profile of the whole run to this file on exit (go tool pprof -sample_index=alloc_space)")
 }
 
 // RegisterCache declares the zoo-materialization group: -cache, -store,
@@ -193,6 +196,7 @@ type Runtime struct {
 	opts          *Options
 	tracer        *obs.Tracer
 	cpuProf       *os.File
+	memProf       *os.File
 	stopSignals   context.CancelFunc
 	pprofShutdown func(context.Context) error
 	closeOnce     sync.Once
@@ -246,13 +250,20 @@ func Setup(opts *Options, extraSignals ...os.Signal) (*Runtime, error) {
 		}
 		rt.cpuProf = f
 	}
+	if opts.MemProf != "" {
+		// Created up front so a bad path fails before the run, not
+		// after it; Close writes the profile.
+		f, err := os.Create(opts.MemProf)
+		if err != nil {
+			rt.stopProfiles()
+			return nil, fmt.Errorf("-memprofile: %w", err)
+		}
+		rt.memProf = f
+	}
 	if opts.Pprof != "" {
 		addr, shutdown, err := obs.Serve(opts.Pprof, reg)
 		if err != nil {
-			if rt.cpuProf != nil {
-				pprof.StopCPUProfile()
-				rt.cpuProf.Close()
-			}
+			rt.stopProfiles()
 			return nil, fmt.Errorf("pprof server: %w", err)
 		}
 		rt.pprofShutdown = shutdown
@@ -278,7 +289,20 @@ func (rt *Runtime) Interrupted() bool { return rt.Ctx.Err() != nil }
 // exactly the point of the flight recorder.
 func (rt *Runtime) Close() { rt.closeOnce.Do(rt.close) }
 
+// stopProfiles closes the profile files of a Setup that failed.
+func (rt *Runtime) stopProfiles() {
+	if rt.cpuProf != nil {
+		pprof.StopCPUProfile()
+		rt.cpuProf.Close()
+	}
+	if rt.memProf != nil {
+		rt.memProf.Close()
+	}
+}
+
 func (rt *Runtime) close() {
+	// Read before stopSignals, which cancels the context itself.
+	interrupted := rt.Interrupted()
 	rt.stopSignals()
 	if rt.cpuProf != nil {
 		pprof.StopCPUProfile()
@@ -288,7 +312,20 @@ func (rt *Runtime) close() {
 			log.Printf("cpu profile written to %s", rt.opts.CPUProf)
 		}
 	}
+	if rt.memProf != nil {
+		if err := writeMemProfile(rt.memProf); err != nil {
+			log.Printf("memprofile: %v", err)
+		} else {
+			log.Printf("memory profile written to %s", rt.opts.MemProf)
+		}
+	}
 	if rt.opts.Flight != "" {
+		if interrupted {
+			// A signal that lands between extractions leaves no
+			// extraction-level interrupt note; record it for the run so
+			// the dump always says why the run stopped.
+			rt.Flight.Note("interrupt", "signal", nil)
+		}
 		if err := rt.Flight.Dump(rt.opts.Flight, "run exit"); err != nil {
 			log.Printf("flight: %v", err)
 		} else {
@@ -319,4 +356,17 @@ func (rt *Runtime) close() {
 			log.Printf("pprof shutdown: %v", err)
 		}
 	}
+}
+
+// writeMemProfile writes the allocation profile — every sampled
+// allocation since start-up (alloc_space/alloc_objects) and the live
+// heap (inuse_space) — to f and closes it. A GC first brings the live
+// heap figures up to date.
+func writeMemProfile(f *os.File) error {
+	runtime.GC()
+	err := pprof.Lookup("allocs").WriteTo(f, 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

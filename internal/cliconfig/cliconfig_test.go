@@ -1,6 +1,9 @@
 package cliconfig
 
 import (
+	"bytes"
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -87,5 +90,79 @@ func TestCPUProfileWrittenOnClose(t *testing.T) {
 
 	if _, err := Setup(&Options{CPUProf: filepath.Join(dir, "missing", "cpu.pprof")}); err == nil {
 		t.Fatal("unwritable -cpuprofile path accepted")
+	}
+}
+
+// -memprofile mirrors -cpuprofile: Setup opens the file, Close writes an
+// allocation profile covering the whole run.
+func TestMemProfileWrittenOnClose(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "mem.pprof")
+	rt, err := Setup(&Options{MemProf: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("profile not written by Close: %v", err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("profile is not gzip data (%d bytes)", len(data))
+	}
+	// The sample-type names sit in the protobuf's string table.
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte("alloc_space")) {
+		t.Fatal("profile carries no alloc_space samples")
+	}
+
+	if _, err := Setup(&Options{MemProf: filepath.Join(dir, "missing", "mem.pprof")}); err == nil {
+		t.Fatal("unwritable -memprofile path accepted")
+	}
+}
+
+// An interrupted run's -flight dump records the interrupt even when the
+// signal landed outside any extraction (which notes its own interrupt).
+func TestFlightDumpRecordsSignal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flight.json")
+	rt, err := Setup(&Options{Flight: path}, syscall.SIGTERM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	<-rt.Ctx.Done()
+	rt.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("flight dump not written by Close: %v", err)
+	}
+	if !bytes.Contains(data, []byte(`"kind": "interrupt"`)) && !bytes.Contains(data, []byte(`"kind":"interrupt"`)) {
+		t.Fatalf("flight dump of an interrupted run has no interrupt event:\n%s", data)
+	}
+
+	// An uninterrupted run adds nothing.
+	path = filepath.Join(t.TempDir(), "flight.json")
+	if rt, err = Setup(&Options{Flight: path}); err != nil {
+		t.Fatal(err)
+	}
+	rt.Close()
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte("interrupt")) {
+		t.Fatalf("flight dump of a completed run records an interrupt:\n%s", data)
 	}
 }

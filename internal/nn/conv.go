@@ -164,10 +164,12 @@ func (c *Conv2D) forwardRow(in, dst []float32) {
 	}
 }
 
-// rowTaps adds one kernel row to every output column:
+// rowTapsGo adds one kernel row to every output column:
 // acc[x] = ((acc[x] + w[0]*r[x]) + w[1]*r[x+1]) + …, one rounding per
-// operation, left to right. len(r) must be len(acc)+len(w)-1.
-func rowTaps(acc, r, w []float32) {
+// operation, left to right. len(r) must be len(acc)+len(w)-1. It is the
+// reference the vectorized rowTaps is tested against, the tail of its
+// columns, and rowTaps itself where no vector kernel exists.
+func rowTapsGo(acc, r, w []float32) {
 	switch len(w) {
 	case 5:
 		w0, w1, w2, w3, w4 := w[0], w[1], w[2], w[3], w[4]

@@ -75,6 +75,18 @@ func (m *Matrix) CopyFrom(o *Matrix) {
 	copy(m.Data, o.Data)
 }
 
+// Reuse sets m's shape to rows×cols and returns it, keeping m's storage
+// when its capacity suffices and allocating a new matrix otherwise (also
+// when m is nil). The contents are unspecified; callers overwrite them.
+// It is how a workspace buffer is recycled for the next input.
+func (m *Matrix) Reuse(rows, cols int) *Matrix {
+	if m == nil || rows < 0 || cols < 0 || cap(m.Data) < rows*cols {
+		return New(rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
 // shapeCheck panics unless a and b have identical shapes.
 func shapeCheck(op string, a, b *Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -102,13 +114,16 @@ func axpy(dst, src []float32, s float32) {
 	}
 }
 
-// axpy4 computes dst += s0*a0 + s1*a1 + s2*a2 + s3*a3 in one fused pass —
+// axpy4Go computes dst += s0*a0 + s1*a1 + s2*a2 + s3*a3 in one fused pass —
 // the k-blocked inner kernel of MatMul/MatMulTN. Go evaluates float
 // expressions left to right without reassociation, so the fused update is
 // bit-identical to four sequential axpy calls. A zero scalar falls back to
 // the per-lane path: axpy skips s == 0 entirely (no 0*Inf → NaN, no
 // -0 + +0 sign normalization), and the fused form must not differ.
-func axpy4(dst, a0, a1, a2, a3 []float32, s0, s1, s2, s3 float32) {
+//
+// It is the reference the vectorized axpy4 is tested against, and axpy4
+// itself where no vector kernel exists.
+func axpy4Go(dst, a0, a1, a2, a3 []float32, s0, s1, s2, s3 float32) {
 	if s0 == 0 || s1 == 0 || s2 == 0 || s3 == 0 {
 		axpy(dst, a0, s0)
 		axpy(dst, a1, s1)
@@ -143,11 +158,12 @@ func dot(a, b []float32) float32 {
 	return s
 }
 
-// dot4 computes the inner products of a against four b rows in one pass,
-// reusing each load of a across the rows. Every output replicates dot's
-// exact four-accumulator pattern and tail, so dot4(a, b0..b3) is
-// bit-identical to four dot calls.
-func dot4(a, b0, b1, b2, b3 []float32) (r0, r1, r2, r3 float32) {
+// dot4Go computes the inner products of a against four b rows in one
+// pass, reusing each load of a across the rows. Every output replicates
+// dot's exact four-accumulator pattern and tail, so dot4Go(a, b0..b3) is
+// bit-identical to four dot calls. Like axpy4Go it is the reference for
+// the vectorized dot4 and the fallback where none exists.
+func dot4Go(a, b0, b1, b2, b3 []float32) (r0, r1, r2, r3 float32) {
 	n := len(a)
 	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
 	var s00, s01, s02, s03 float32
@@ -189,15 +205,22 @@ func dot4(a, b0, b1, b2, b3 []float32) (r0, r1, r2, r3 float32) {
 }
 
 // MatMul returns a × b (a: m×k, b: k×n).
-func MatMul(a, b *Matrix) *Matrix {
+func MatMul(a, b *Matrix) *Matrix { return MatMulInto(New(a.Rows, b.Cols), a, b) }
+
+// MatMulInto writes a × b (a: m×k, b: k×n) into dst, resized to m×n with
+// Reuse, and returns it. dst must not share storage with a or b. Every
+// element starts from +0 and takes its k terms in order, so the result
+// is bit-identical to MatMul's.
+func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Cols)
+	dst = dst.Reuse(a.Rows, b.Cols)
+	dst.Zero()
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*n : (i+1)*n]
+		orow := dst.Data[i*n : (i+1)*n]
 		k := 0
 		for ; k+4 <= len(arow); k += 4 {
 			axpy4(orow,
@@ -209,19 +232,23 @@ func MatMul(a, b *Matrix) *Matrix {
 			axpy(orow, b.Data[k*n:(k+1)*n], arow[k])
 		}
 	}
-	return out
+	return dst
 }
 
 // MatMulNT returns a × bᵀ (a: m×k, b: n×k).
-func MatMulNT(a, b *Matrix) *Matrix {
+func MatMulNT(a, b *Matrix) *Matrix { return MatMulNTInto(New(a.Rows, b.Rows), a, b) }
+
+// MatMulNTInto writes a × bᵀ (a: m×k, b: n×k) into dst, resized to m×n
+// with Reuse, and returns it. dst must not share storage with a or b.
+func MatMulNTInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulNT inner dim mismatch %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Rows, b.Rows)
+	dst = dst.Reuse(a.Rows, b.Rows)
 	k := a.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*b.Rows : (i+1)*b.Rows]
+		orow := dst.Data[i*b.Rows : (i+1)*b.Rows]
 		j := 0
 		for ; j+4 <= len(orow); j += 4 {
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = dot4(arow,
@@ -232,41 +259,75 @@ func MatMulNT(a, b *Matrix) *Matrix {
 			orow[j] = dot(arow, b.Data[j*k:(j+1)*k])
 		}
 	}
-	return out
+	return dst
 }
 
 // MatMulTN returns aᵀ × b (a: k×m, b: k×n).
-func MatMulTN(a, b *Matrix) *Matrix {
+func MatMulTN(a, b *Matrix) *Matrix { return MatMulTNInto(New(a.Cols, b.Cols), a, b) }
+
+// MatMulTNInto writes aᵀ × b (a: k×m, b: k×n) into dst, resized to m×n
+// with Reuse, and returns it. dst must not share storage with a or b.
+func MatMulTNInto(dst, a, b *Matrix) *Matrix {
+	tnCheck(a, b)
+	dst = dst.Reuse(a.Cols, b.Cols)
+	dst.Zero()
+	for i := 0; i < a.Cols; i++ {
+		tnRow(dst.Row(i), a, b, i, 0)
+	}
+	return dst
+}
+
+// tnChunk bounds AddMatMulTN's row accumulator, which lives on the stack.
+const tnChunk = 128
+
+// AddMatMulTN accumulates aᵀ × b into g (a: k×m, b: k×n, g: m×n) — the
+// weight-gradient update of a dense layer. Each element's k-ordered sum,
+// zero skips included, is formed in a row accumulator exactly as
+// MatMulTN forms it and only then added to g, so the result is
+// bit-identical to AddInPlace(g, MatMulTN(a, b)) without the temporary.
+func AddMatMulTN(g, a, b *Matrix) {
+	tnCheck(a, b)
+	if g.Rows != a.Cols || g.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: AddMatMulTN target %dx%d, want %dx%d", g.Rows, g.Cols, a.Cols, b.Cols))
+	}
+	var buf [tnChunk]float32
+	for c0 := 0; c0 < b.Cols; c0 += tnChunk {
+		acc := buf[:min(tnChunk, b.Cols-c0)]
+		for i := 0; i < a.Cols; i++ {
+			clear(acc)
+			tnRow(acc, a, b, i, c0)
+			grow := g.Row(i)[c0 : c0+len(acc)]
+			for j, v := range acc {
+				grow[j] += v
+			}
+		}
+	}
+}
+
+func tnCheck(a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTN inner dim mismatch (%dx%d)ᵀ × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := New(a.Cols, b.Cols)
-	n := b.Cols
-	m := a.Cols
+}
+
+// tnRow accumulates columns [c0, c0+len(acc)) of row i of aᵀ × b into acc
+// (a: k×m, b: k×n). k is blocked by four from 0, so every element takes
+// its k contributions in the original order, and each block's zero test
+// sees the same four scalars a[k..k+3][i] whichever rows or columns a
+// caller computes.
+func tnRow(acc []float32, a, b *Matrix, i, c0 int) {
+	m, n := a.Cols, b.Cols
+	c1 := c0 + len(acc)
 	k := 0
-	// k-blocked: each output row i accumulates its four k contributions in
-	// the original k order, so per-element rounding order is unchanged.
 	for ; k+4 <= a.Rows; k += 4 {
-		a0 := a.Data[k*m : (k+1)*m]
-		a1 := a.Data[(k+1)*m : (k+2)*m]
-		a2 := a.Data[(k+2)*m : (k+3)*m]
-		a3 := a.Data[(k+3)*m : (k+4)*m]
-		b0 := b.Data[k*n : (k+1)*n]
-		b1 := b.Data[(k+1)*n : (k+2)*n]
-		b2 := b.Data[(k+2)*n : (k+3)*n]
-		b3 := b.Data[(k+3)*n : (k+4)*n]
-		for i := 0; i < m; i++ {
-			axpy4(out.Data[i*n:(i+1)*n], b0, b1, b2, b3, a0[i], a1[i], a2[i], a3[i])
-		}
+		axpy4(acc,
+			b.Data[k*n+c0:k*n+c1], b.Data[(k+1)*n+c0:(k+1)*n+c1],
+			b.Data[(k+2)*n+c0:(k+2)*n+c1], b.Data[(k+3)*n+c0:(k+3)*n+c1],
+			a.Data[k*m+i], a.Data[(k+1)*m+i], a.Data[(k+2)*m+i], a.Data[(k+3)*m+i])
 	}
 	for ; k < a.Rows; k++ {
-		arow := a.Data[k*m : (k+1)*m]
-		brow := b.Data[k*n : (k+1)*n]
-		for i, av := range arow {
-			axpy(out.Data[i*n:(i+1)*n], brow, av)
-		}
+		axpy(acc, b.Data[k*n+c0:k*n+c1], a.Data[k*m+i])
 	}
-	return out
 }
 
 // Transpose returns mᵀ.
@@ -281,13 +342,17 @@ func (m *Matrix) Transpose() *Matrix {
 }
 
 // Add returns a + b element-wise.
-func Add(a, b *Matrix) *Matrix {
+func Add(a, b *Matrix) *Matrix { return AddInto(New(a.Rows, a.Cols), a, b) }
+
+// AddInto writes a + b into dst, resized with Reuse, and returns it. dst
+// may be a or b.
+func AddInto(dst, a, b *Matrix) *Matrix {
 	shapeCheck("Add", a, b)
-	out := New(a.Rows, a.Cols)
+	dst = dst.Reuse(a.Rows, a.Cols)
 	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
+		dst.Data[i] = a.Data[i] + b.Data[i]
 	}
-	return out
+	return dst
 }
 
 // Sub returns a - b element-wise.
@@ -301,13 +366,17 @@ func Sub(a, b *Matrix) *Matrix {
 }
 
 // Hadamard returns the element-wise product a ⊙ b.
-func Hadamard(a, b *Matrix) *Matrix {
+func Hadamard(a, b *Matrix) *Matrix { return HadamardInto(New(a.Rows, a.Cols), a, b) }
+
+// HadamardInto writes a ⊙ b into dst, resized with Reuse, and returns it.
+// dst may be a or b.
+func HadamardInto(dst, a, b *Matrix) *Matrix {
 	shapeCheck("Hadamard", a, b)
-	out := New(a.Rows, a.Cols)
+	dst = dst.Reuse(a.Rows, a.Cols)
 	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
+		dst.Data[i] = a.Data[i] * b.Data[i]
 	}
-	return out
+	return dst
 }
 
 // AddInPlace adds b into a.
@@ -341,8 +410,13 @@ func (m *Matrix) AddRowVector(v []float32) {
 
 // SumRows returns the column-wise sum of m as a length-Cols slice — the
 // bias gradient for a dense layer.
-func (m *Matrix) SumRows() []float32 {
-	out := make([]float32, m.Cols)
+func (m *Matrix) SumRows() []float32 { return m.SumRowsInto(make([]float32, m.Cols)) }
+
+// SumRowsInto writes the column-wise sum of m into dst[:m.Cols] and
+// returns that slice.
+func (m *Matrix) SumRowsInto(dst []float32) []float32 {
+	out := dst[:m.Cols]
+	clear(out)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j := range row {
@@ -354,8 +428,13 @@ func (m *Matrix) SumRows() []float32 {
 
 // SoftmaxRows applies a numerically stable softmax to each row of m,
 // returning a new matrix.
-func SoftmaxRows(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
+func SoftmaxRows(m *Matrix) *Matrix { return SoftmaxRowsInto(New(m.Rows, m.Cols), m) }
+
+// SoftmaxRowsInto writes the row softmax of m into dst, resized with
+// Reuse, and returns it. dst may be m: each element is read before it is
+// written.
+func SoftmaxRowsInto(dst, m *Matrix) *Matrix {
+	out := dst.Reuse(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		orow := out.Row(i)
@@ -381,12 +460,15 @@ func SoftmaxRows(m *Matrix) *Matrix {
 
 // GELU applies the tanh-approximation GELU activation element-wise,
 // returning a new matrix.
-func GELU(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
+func GELU(m *Matrix) *Matrix { return GELUInto(New(m.Rows, m.Cols), m) }
+
+// GELUInto writes GELU(m) into dst, resized with Reuse, and returns it.
+func GELUInto(dst, m *Matrix) *Matrix {
+	dst = dst.Reuse(m.Rows, m.Cols)
 	for i, x := range m.Data {
-		out.Data[i] = gelu(x)
+		dst.Data[i] = gelu(x)
 	}
-	return out
+	return dst
 }
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
@@ -397,12 +479,16 @@ func gelu(x float32) float32 {
 }
 
 // GELUGrad returns the element-wise derivative of GELU evaluated at m.
-func GELUGrad(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
+func GELUGrad(m *Matrix) *Matrix { return GELUGradInto(New(m.Rows, m.Cols), m) }
+
+// GELUGradInto writes GELUGrad(m) into dst, resized with Reuse, and
+// returns it.
+func GELUGradInto(dst, m *Matrix) *Matrix {
+	dst = dst.Reuse(m.Rows, m.Cols)
 	for i, x := range m.Data {
-		out.Data[i] = geluGrad(x)
+		dst.Data[i] = geluGrad(x)
 	}
-	return out
+	return dst
 }
 
 func geluGrad(x float32) float32 {

@@ -21,9 +21,9 @@ func TestCausalMaskBlocksFuture(t *testing.T) {
 	a := []int{1, 2, 3, 4, 5}
 	b := []int{1, 2, 3, 4, 9} // only the last token differs
 
-	xa := m.embed(a)
+	xa := m.embed(nil, a)
 	outA := m.Blocks[0].forward(xa, m.Heads, m.HeadDim(), true, new(blockCache)).Clone()
-	xb := m.embed(b)
+	xb := m.embed(nil, b)
 	outB := m.Blocks[0].forward(xb, m.Heads, m.HeadDim(), true, new(blockCache))
 
 	for i := 0; i < 4; i++ {
@@ -51,8 +51,8 @@ func TestEncoderSeesFuture(t *testing.T) {
 	m := New(testConfig(), 21)
 	a := []int{1, 2, 3, 4, 5}
 	b := []int{1, 2, 3, 4, 9}
-	outA := m.Blocks[0].forward(m.embed(a), m.Heads, m.HeadDim(), false, new(blockCache)).Clone()
-	outB := m.Blocks[0].forward(m.embed(b), m.Heads, m.HeadDim(), false, new(blockCache))
+	outA := m.Blocks[0].forward(m.embed(nil, a), m.Heads, m.HeadDim(), false, new(blockCache)).Clone()
+	outB := m.Blocks[0].forward(m.embed(nil, b), m.Heads, m.HeadDim(), false, new(blockCache))
 	diff := false
 	for j := 0; j < m.Hidden; j++ {
 		if outA.At(0, j) != outB.At(0, j) {
@@ -67,7 +67,7 @@ func TestEncoderSeesFuture(t *testing.T) {
 func TestCausalAttentionRowsNormalize(t *testing.T) {
 	m := New(causalConfig(), 22)
 	m.forwardCached([]int{1, 2, 3, 4})
-	for h, probs := range m.Blocks[0].cache.probs {
+	for h, probs := range m.ws.blocks[0].probs {
 		if probs == nil {
 			continue
 		}

@@ -72,25 +72,54 @@ type Block struct {
 	// optimization (paper §8); pruned heads contribute nothing to the
 	// attention output.
 	HeadPruned []bool
-
-	// cache holds the activations of the block's last training-path
-	// forward for backward and head-importance scoring. Inference
-	// forwards use a call-local cache instead, so one model can serve
-	// concurrent predictions.
-	cache blockCache
 }
 
-// blockCache is one block forward's saved activations.
+// blockCache is one block's workspace: the activations its last forward
+// saved for backward and head-importance scoring, and the scratch its
+// backward writes. Every buffer is recycled with Reuse, so a warmed cache
+// runs forward and backward without allocating.
 type blockCache struct {
-	x       *tensor.Matrix   // block input S×H
-	q, k, v *tensor.Matrix   // S×H
-	probs   []*tensor.Matrix // per head S×S attention weights
-	ctx     *tensor.Matrix   // S×H concatenated head outputs
-	ln1     lnCache
-	ln1Out  *tensor.Matrix
-	h1      *tensor.Matrix // pre-GELU S×FFN
-	act     *tensor.Matrix // post-GELU S×FFN
-	ln2     lnCache
+	x          *tensor.Matrix   // block input S×H (owned by the caller)
+	q, k, v    *tensor.Matrix   // S×H
+	qh, kh, vh []*tensor.Matrix // per head S×headDim copies of q, k, v
+	probs      []*tensor.Matrix // per head S×S attention weights
+	ctxH       *tensor.Matrix   // one head's S×headDim output
+	ctx        *tensor.Matrix   // S×H concatenated head outputs
+	res1       *tensor.Matrix   // x + attention output
+	ln1        lnCache
+	ln1Out     *tensor.Matrix
+	h1         *tensor.Matrix // pre-GELU S×FFN
+	act        *tensor.Matrix // post-GELU S×FFN
+	res2       *tensor.Matrix // ln1Out + FFN output
+	ln2        lnCache
+	out        *tensor.Matrix // block output S×H
+
+	// Backward scratch.
+	dRes2, geluGrad, dH1, dLn1, dRes1, dCtx *tensor.Matrix
+	dQ, dK, dV, dx, dxTerm                  *tensor.Matrix
+	dCtxH, dProbs, dQh, dKh, dVh            *tensor.Matrix
+	biasSum                                 []float32
+}
+
+// workspace is a model's training-path scratch: one blockCache per block
+// plus the embedding, pooling and head buffers of LossAndBackward.
+// Train drops it on return, so a trained population does not keep one
+// per model.
+type workspace struct {
+	blocks          []blockCache
+	emb, dActs      *tensor.Matrix
+	logits, probs   *tensor.Matrix // 1×Labels
+	pooled, dPooled []float32
+	dLogits         []float32
+}
+
+// reuseSlice returns s resized to n, reallocating only when its capacity
+// is too small. The contents are unspecified.
+func reuseSlice(s []float32, n int) []float32 {
+	if cap(s) < n {
+		return make([]float32, n)
+	}
+	return s[:n]
 }
 
 // Model is a full transformer with a classification head.
@@ -101,6 +130,8 @@ type Model struct {
 	Blocks []*Block
 	HeadW  P // Hidden×Labels: the task-dependent last layer
 	HeadB  P // 1×Labels
+
+	ws *workspace // training-path scratch; nil until first needed
 }
 
 // New returns a model initialized with DefaultInit (BERT's N(0, 0.02)).
@@ -158,13 +189,17 @@ func NewWithInit(cfg Config, seed uint64, init Init) *Model {
 type lnCache struct {
 	xhat   *tensor.Matrix
 	invStd []float32
+	dxhat  []float32 // backward row scratch
 }
 
 const lnEps = 1e-5
 
-func layerNormForward(x *tensor.Matrix, g, b []float32) (*tensor.Matrix, lnCache) {
-	out := tensor.New(x.Rows, x.Cols)
-	cache := lnCache{xhat: tensor.New(x.Rows, x.Cols), invStd: make([]float32, x.Rows)}
+// layerNormForward normalizes each row of x into dst (resized with Reuse),
+// saving what backward needs in cache, and returns dst.
+func layerNormForward(dst, x *tensor.Matrix, g, b []float32, cache *lnCache) *tensor.Matrix {
+	out := dst.Reuse(x.Rows, x.Cols)
+	cache.xhat = cache.xhat.Reuse(x.Rows, x.Cols)
+	cache.invStd = reuseSlice(cache.invStd, x.Rows)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
 		var mean float32
@@ -187,19 +222,21 @@ func layerNormForward(x *tensor.Matrix, g, b []float32) (*tensor.Matrix, lnCache
 			orow[j] = xh[j]*g[j] + b[j]
 		}
 	}
-	return out, cache
+	return out
 }
 
-// layerNormBackward consumes dOut and returns dX, accumulating dG and dB.
-func layerNormBackward(dOut *tensor.Matrix, cache lnCache, g, dG, dB []float32) *tensor.Matrix {
-	dx := tensor.New(dOut.Rows, dOut.Cols)
+// layerNormBackward consumes dOut and writes dX into dst (resized with
+// Reuse), accumulating dG and dB, and returns dst.
+func layerNormBackward(dst, dOut *tensor.Matrix, cache *lnCache, g, dG, dB []float32) *tensor.Matrix {
+	dx := dst.Reuse(dOut.Rows, dOut.Cols)
 	n := float32(dOut.Cols)
+	cache.dxhat = reuseSlice(cache.dxhat, dOut.Cols)
+	dxhat := cache.dxhat
 	for i := 0; i < dOut.Rows; i++ {
 		dy := dOut.Row(i)
 		xh := cache.xhat.Row(i)
 		inv := cache.invStd[i]
 		var sumDxhat, sumDxhatXhat float32
-		dxhat := make([]float32, len(dy))
 		for j := range dy {
 			dG[j] += dy[j] * xh[j]
 			dB[j] += dy[j]
@@ -217,9 +254,10 @@ func layerNormBackward(dOut *tensor.Matrix, cache lnCache, g, dG, dB []float32) 
 
 // ---- block forward / backward ----
 
-// headSlice copies head h's columns of m (S×Hidden) into an S×headDim matrix.
-func headSlice(m *tensor.Matrix, h, headDim int) *tensor.Matrix {
-	out := tensor.New(m.Rows, headDim)
+// headSlice copies head h's columns of m (S×Hidden) into dst, resized to
+// S×headDim with Reuse, and returns it.
+func headSlice(dst, m *tensor.Matrix, h, headDim int) *tensor.Matrix {
+	out := dst.Reuse(m.Rows, headDim)
 	for i := 0; i < m.Rows; i++ {
 		copy(out.Row(i), m.Row(i)[h*headDim:(h+1)*headDim])
 	}
@@ -237,31 +275,45 @@ func addHeadSlice(dst, src *tensor.Matrix, h, headDim int) {
 	}
 }
 
+// zeroed returns m resized with Reuse and cleared: the target of
+// addHeadSlice, whose pruned-head columns must read zero.
+func zeroed(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	m = m.Reuse(rows, cols)
+	m.Zero()
+	return m
+}
+
 // causalMaskValue is added to masked (future) attention scores; after the
 // softmax those positions carry effectively zero weight.
 const causalMaskValue = -1e9
 
-// forward runs the block on x, saving its activations in c.
+// forward runs the block on x, saving its activations in c, and returns
+// the block output, which lives in c until c's next forward.
 func (b *Block) forward(x *tensor.Matrix, heads, headDim int, causal bool, c *blockCache) *tensor.Matrix {
 	c.x = x
-	c.q = tensor.MatMul(x, b.Wq.V)
+	c.q = tensor.MatMulInto(c.q, x, b.Wq.V)
 	c.q.AddRowVector(b.Bq.V.Data)
-	c.k = tensor.MatMul(x, b.Wk.V)
+	c.k = tensor.MatMulInto(c.k, x, b.Wk.V)
 	c.k.AddRowVector(b.Bk.V.Data)
-	c.v = tensor.MatMul(x, b.Wv.V)
+	c.v = tensor.MatMulInto(c.v, x, b.Wv.V)
 	c.v.AddRowVector(b.Bv.V.Data)
 
 	scale := float32(1 / math.Sqrt(float64(headDim)))
-	c.probs = make([]*tensor.Matrix, heads)
-	c.ctx = tensor.New(x.Rows, heads*headDim)
+	if len(c.probs) != heads {
+		c.qh = make([]*tensor.Matrix, heads)
+		c.kh = make([]*tensor.Matrix, heads)
+		c.vh = make([]*tensor.Matrix, heads)
+		c.probs = make([]*tensor.Matrix, heads)
+	}
+	c.ctx = zeroed(c.ctx, x.Rows, heads*headDim)
 	for h := 0; h < heads; h++ {
 		if b.HeadPruned[h] {
 			continue
 		}
-		qh := headSlice(c.q, h, headDim)
-		kh := headSlice(c.k, h, headDim)
-		vh := headSlice(c.v, h, headDim)
-		scores := tensor.MatMulNT(qh, kh).Scale(scale)
+		c.qh[h] = headSlice(c.qh[h], c.q, h, headDim)
+		c.kh[h] = headSlice(c.kh[h], c.k, h, headDim)
+		c.vh[h] = headSlice(c.vh[h], c.v, h, headDim)
+		scores := tensor.MatMulNTInto(c.probs[h], c.qh[h], c.kh[h]).Scale(scale)
 		if causal {
 			for i := 0; i < scores.Rows; i++ {
 				row := scores.Row(i)
@@ -270,117 +322,119 @@ func (b *Block) forward(x *tensor.Matrix, heads, headDim int, causal bool, c *bl
 				}
 			}
 		}
-		probs := tensor.SoftmaxRows(scores)
-		c.probs[h] = probs
-		ctxH := tensor.MatMul(probs, vh)
-		addHeadSlice(c.ctx, ctxH, h, headDim)
+		c.probs[h] = tensor.SoftmaxRowsInto(scores, scores)
+		c.ctxH = tensor.MatMulInto(c.ctxH, c.probs[h], c.vh[h])
+		addHeadSlice(c.ctx, c.ctxH, h, headDim)
 	}
 
-	attnOut := tensor.MatMul(c.ctx, b.Wo.V)
-	attnOut.AddRowVector(b.Bo.V.Data)
-	res1 := tensor.Add(x, attnOut)
-	var ln1Out *tensor.Matrix
-	ln1Out, c.ln1 = layerNormForward(res1, b.LN1G.V.Data, b.LN1B.V.Data)
-	c.ln1Out = ln1Out
+	c.res1 = tensor.MatMulInto(c.res1, c.ctx, b.Wo.V)
+	c.res1.AddRowVector(b.Bo.V.Data)
+	c.res1 = tensor.AddInto(c.res1, x, c.res1)
+	c.ln1Out = layerNormForward(c.ln1Out, c.res1, b.LN1G.V.Data, b.LN1B.V.Data, &c.ln1)
 
-	c.h1 = tensor.MatMul(ln1Out, b.W1.V)
+	c.h1 = tensor.MatMulInto(c.h1, c.ln1Out, b.W1.V)
 	c.h1.AddRowVector(b.B1.V.Data)
-	c.act = tensor.GELU(c.h1)
-	ffnOut := tensor.MatMul(c.act, b.W2.V)
-	ffnOut.AddRowVector(b.B2.V.Data)
-	res2 := tensor.Add(ln1Out, ffnOut)
-	out, ln2 := layerNormForward(res2, b.LN2G.V.Data, b.LN2B.V.Data)
-	c.ln2 = ln2
-	return out
+	c.act = tensor.GELUInto(c.act, c.h1)
+	c.res2 = tensor.MatMulInto(c.res2, c.act, b.W2.V)
+	c.res2.AddRowVector(b.B2.V.Data)
+	c.res2 = tensor.AddInto(c.res2, c.ln1Out, c.res2)
+	c.out = layerNormForward(c.out, c.res2, b.LN2G.V.Data, b.LN2B.V.Data, &c.ln2)
+	return c.out
 }
 
-func accumBias(p P, grad *tensor.Matrix) {
-	s := grad.SumRows()
+// accumBias adds grad's column sums to p's gradient, summing into c's
+// scratch first so the rounding matches adding SumRows' result.
+func (c *blockCache) accumBias(p P, grad *tensor.Matrix) {
+	c.biasSum = reuseSlice(c.biasSum, grad.Cols)
+	s := grad.SumRowsInto(c.biasSum)
 	for i := range s {
 		p.G.Data[i] += s[i]
 	}
 }
 
-func (b *Block) backward(dOut *tensor.Matrix, heads, headDim int) *tensor.Matrix {
-	c := &b.cache
+// backward consumes dOut and the activations c saved, accumulates the
+// block's parameter gradients, and returns dx, which lives in c until
+// c's next backward. Every gradient takes its terms in the same order
+// as the allocating formulation (AddInPlace of fresh products), so the
+// results are bit-identical to it.
+func (b *Block) backward(dOut *tensor.Matrix, heads, headDim int, c *blockCache) *tensor.Matrix {
 	// LN2 -> residual(ln1Out, ffnOut)
-	dRes2 := layerNormBackward(dOut, c.ln2, b.LN2G.V.Data, b.LN2G.G.Data, b.LN2B.G.Data)
+	c.dRes2 = layerNormBackward(c.dRes2, dOut, &c.ln2, b.LN2G.V.Data, b.LN2G.G.Data, b.LN2B.G.Data)
 	// ffnOut = act W2 + b2
-	accumBias(b.B2, dRes2)
-	tensor.AddInPlace(b.W2.G, tensor.MatMulTN(c.act, dRes2))
-	dAct := tensor.MatMulNT(dRes2, b.W2.V)
-	dH1 := tensor.Hadamard(dAct, tensor.GELUGrad(c.h1))
-	accumBias(b.B1, dH1)
-	tensor.AddInPlace(b.W1.G, tensor.MatMulTN(c.ln1Out, dH1))
-	dLn1 := tensor.MatMulNT(dH1, b.W1.V)
-	tensor.AddInPlace(dLn1, dRes2) // residual path
+	c.accumBias(b.B2, c.dRes2)
+	tensor.AddMatMulTN(b.W2.G, c.act, c.dRes2)
+	c.dH1 = tensor.MatMulNTInto(c.dH1, c.dRes2, b.W2.V) // dAct
+	c.geluGrad = tensor.GELUGradInto(c.geluGrad, c.h1)
+	c.dH1 = tensor.HadamardInto(c.dH1, c.dH1, c.geluGrad)
+	c.accumBias(b.B1, c.dH1)
+	tensor.AddMatMulTN(b.W1.G, c.ln1Out, c.dH1)
+	c.dLn1 = tensor.MatMulNTInto(c.dLn1, c.dH1, b.W1.V)
+	tensor.AddInPlace(c.dLn1, c.dRes2) // residual path
 
-	dRes1 := layerNormBackward(dLn1, c.ln1, b.LN1G.V.Data, b.LN1G.G.Data, b.LN1B.G.Data)
+	c.dRes1 = layerNormBackward(c.dRes1, c.dLn1, &c.ln1, b.LN1G.V.Data, b.LN1G.G.Data, b.LN1B.G.Data)
 	// attnOut = ctx Wo + bo
-	accumBias(b.Bo, dRes1)
-	tensor.AddInPlace(b.Wo.G, tensor.MatMulTN(c.ctx, dRes1))
-	dCtx := tensor.MatMulNT(dRes1, b.Wo.V)
+	c.accumBias(b.Bo, c.dRes1)
+	tensor.AddMatMulTN(b.Wo.G, c.ctx, c.dRes1)
+	c.dCtx = tensor.MatMulNTInto(c.dCtx, c.dRes1, b.Wo.V)
 
 	scale := float32(1 / math.Sqrt(float64(headDim)))
-	dQ := tensor.New(c.q.Rows, c.q.Cols)
-	dK := tensor.New(c.k.Rows, c.k.Cols)
-	dV := tensor.New(c.v.Rows, c.v.Cols)
+	rows, cols := c.q.Rows, c.q.Cols
+	c.dQ = zeroed(c.dQ, rows, cols)
+	c.dK = zeroed(c.dK, rows, cols)
+	c.dV = zeroed(c.dV, rows, cols)
 	for h := 0; h < heads; h++ {
 		if b.HeadPruned[h] {
 			continue
 		}
 		probs := c.probs[h]
-		kh := headSlice(c.k, h, headDim)
-		vh := headSlice(c.v, h, headDim)
-		qh := headSlice(c.q, h, headDim)
-		dCtxH := headSlice(dCtx, h, headDim)
-
-		dProbs := tensor.MatMulNT(dCtxH, vh)
-		dVh := tensor.MatMulTN(probs, dCtxH)
-		// softmax backward per row: dS = P ⊙ (dP - rowSum(dP⊙P))
-		dScores := tensor.New(probs.Rows, probs.Cols)
+		c.dCtxH = headSlice(c.dCtxH, c.dCtx, h, headDim)
+		c.dProbs = tensor.MatMulNTInto(c.dProbs, c.dCtxH, c.vh[h])
+		c.dVh = tensor.MatMulTNInto(c.dVh, probs, c.dCtxH)
+		// softmax backward per row, in place: dS = P ⊙ (dP - rowSum(dP⊙P))
 		for i := 0; i < probs.Rows; i++ {
 			p := probs.Row(i)
-			dp := dProbs.Row(i)
+			dp := c.dProbs.Row(i)
 			var dot float32
 			for j := range p {
 				dot += dp[j] * p[j]
 			}
-			ds := dScores.Row(i)
 			for j := range p {
-				ds[j] = p[j] * (dp[j] - dot)
+				dp[j] = p[j] * (dp[j] - dot)
 			}
 		}
-		dScores.Scale(scale)
-		dQh := tensor.MatMul(dScores, kh)
-		dKh := tensor.MatMulTN(dScores, qh)
-		addHeadSlice(dQ, dQh, h, headDim)
-		addHeadSlice(dK, dKh, h, headDim)
-		addHeadSlice(dV, dVh, h, headDim)
+		dScores := c.dProbs.Scale(scale)
+		c.dQh = tensor.MatMulInto(c.dQh, dScores, c.kh[h])
+		c.dKh = tensor.MatMulTNInto(c.dKh, dScores, c.qh[h])
+		addHeadSlice(c.dQ, c.dQh, h, headDim)
+		addHeadSlice(c.dK, c.dKh, h, headDim)
+		addHeadSlice(c.dV, c.dVh, h, headDim)
 	}
 
-	accumBias(b.Bq, dQ)
-	accumBias(b.Bk, dK)
-	accumBias(b.Bv, dV)
-	tensor.AddInPlace(b.Wq.G, tensor.MatMulTN(c.x, dQ))
-	tensor.AddInPlace(b.Wk.G, tensor.MatMulTN(c.x, dK))
-	tensor.AddInPlace(b.Wv.G, tensor.MatMulTN(c.x, dV))
+	c.accumBias(b.Bq, c.dQ)
+	c.accumBias(b.Bk, c.dK)
+	c.accumBias(b.Bv, c.dV)
+	tensor.AddMatMulTN(b.Wq.G, c.x, c.dQ)
+	tensor.AddMatMulTN(b.Wk.G, c.x, c.dK)
+	tensor.AddMatMulTN(b.Wv.G, c.x, c.dV)
 
-	dx := tensor.MatMulNT(dQ, b.Wq.V)
-	tensor.AddInPlace(dx, tensor.MatMulNT(dK, b.Wk.V))
-	tensor.AddInPlace(dx, tensor.MatMulNT(dV, b.Wv.V))
-	tensor.AddInPlace(dx, dRes1) // residual path
-	return dx
+	c.dx = tensor.MatMulNTInto(c.dx, c.dQ, b.Wq.V)
+	c.dxTerm = tensor.MatMulNTInto(c.dxTerm, c.dK, b.Wk.V)
+	tensor.AddInPlace(c.dx, c.dxTerm)
+	c.dxTerm = tensor.MatMulNTInto(c.dxTerm, c.dV, b.Wv.V)
+	tensor.AddInPlace(c.dx, c.dxTerm)
+	tensor.AddInPlace(c.dx, c.dRes1) // residual path
+	return c.dx
 }
 
 // ---- model forward / backward ----
 
-// embed returns the token+position embedding matrix for tokens.
-func (m *Model) embed(tokens []int) *tensor.Matrix {
+// embed writes the token+position embedding matrix for tokens into dst
+// (resized with Reuse) and returns it.
+func (m *Model) embed(dst *tensor.Matrix, tokens []int) *tensor.Matrix {
 	if len(tokens) == 0 || len(tokens) > m.MaxSeq {
 		panic(fmt.Sprintf("transformer: sequence length %d out of (0,%d]", len(tokens), m.MaxSeq))
 	}
-	x := tensor.New(len(tokens), m.Hidden)
+	x := dst.Reuse(len(tokens), m.Hidden)
 	for i, tok := range tokens {
 		if tok < 0 || tok >= m.Vocab {
 			panic(fmt.Sprintf("transformer: token %d out of vocab %d", tok, m.Vocab))
@@ -396,9 +450,10 @@ func (m *Model) embed(tokens []int) *tensor.Matrix {
 }
 
 // pool mean-pools the final block output over sequence positions — the
-// classifier's sentence representation.
-func (m *Model) pool(acts *tensor.Matrix) []float32 {
-	pooled := make([]float32, m.Hidden)
+// classifier's sentence representation — into dst and returns it.
+func (m *Model) pool(dst []float32, acts *tensor.Matrix) []float32 {
+	pooled := reuseSlice(dst, m.Hidden)
+	clear(pooled)
 	inv := 1 / float32(acts.Rows)
 	for i := 0; i < acts.Rows; i++ {
 		row := acts.Row(i)
@@ -409,8 +464,10 @@ func (m *Model) pool(acts *tensor.Matrix) []float32 {
 	return pooled
 }
 
-func (m *Model) headLogits(pooled []float32) []float32 {
-	logits := make([]float32, m.Labels)
+// headLogits writes the classification head's logits into dst and
+// returns it.
+func (m *Model) headLogits(dst []float32, pooled []float32) []float32 {
+	logits := reuseSlice(dst, m.Labels)
 	for j := 0; j < m.Labels; j++ {
 		s := m.HeadB.V.Data[j]
 		for i, v := range pooled {
@@ -422,23 +479,36 @@ func (m *Model) headLogits(pooled []float32) []float32 {
 }
 
 // Logits runs a forward pass and returns the classification logits. It
-// writes no model state, so concurrent calls on one model are safe.
+// writes no model state, so concurrent calls on one model are safe: the
+// blocks alternate between two call-local caches, so each block's input
+// (the previous block's output) is never the buffer it writes.
 func (m *Model) Logits(tokens []int) []float32 {
-	x := m.embed(tokens)
-	var c blockCache
-	for _, b := range m.Blocks {
-		x = b.forward(x, m.Heads, m.HeadDim(), m.Causal, &c)
+	x := m.embed(nil, tokens)
+	var c [2]blockCache
+	for l, b := range m.Blocks {
+		x = b.forward(x, m.Heads, m.HeadDim(), m.Causal, &c[l%2])
 	}
-	return m.headLogits(m.pool(x))
+	return m.headLogits(nil, m.pool(nil, x))
+}
+
+// workspace returns the model's training-path scratch, creating it on
+// first use.
+func (m *Model) workspace() *workspace {
+	if m.ws == nil {
+		m.ws = &workspace{blocks: make([]blockCache, len(m.Blocks))}
+	}
+	return m.ws
 }
 
 // forwardCached runs embed and every block, saving each block's
-// activations in its own cache for backward or head scoring, and
-// returns the final block output. Not safe for concurrent use.
+// activations in the model's workspace for backward or head scoring,
+// and returns the final block output. Not safe for concurrent use.
 func (m *Model) forwardCached(tokens []int) *tensor.Matrix {
-	x := m.embed(tokens)
-	for _, b := range m.Blocks {
-		x = b.forward(x, m.Heads, m.HeadDim(), m.Causal, &b.cache)
+	ws := m.workspace()
+	ws.emb = m.embed(ws.emb, tokens)
+	x := ws.emb
+	for l, b := range m.Blocks {
+		x = b.forward(x, m.Heads, m.HeadDim(), m.Causal, &ws.blocks[l])
 	}
 	return x
 }
@@ -465,16 +535,24 @@ func (m *Model) Probs(tokens []int) []float32 {
 // LossAndBackward computes the cross-entropy loss of tokens against label,
 // accumulates parameter gradients, and returns the loss together with the
 // gradient of the loss with respect to the embedding output (used by the
-// adversarial attack to rank token substitutions).
+// adversarial attack to rank token substitutions). The gradient lives in
+// the model's training workspace: it is valid until the model's next
+// training-path call (LossAndBackward, Train, HeadConfidence or
+// HeadConfidenceSeries), so a caller that keeps it must copy it. Not safe
+// for concurrent use.
 func (m *Model) LossAndBackward(tokens []int, label int) (float64, *tensor.Matrix) {
 	if label < 0 || label >= m.Labels {
 		panic(fmt.Sprintf("transformer: label %d out of range [0,%d)", label, m.Labels))
 	}
 	// Forward (re-runs embed + blocks so caches are fresh).
 	acts := m.forwardCached(tokens)
-	pooled := m.pool(acts)
-	logits := m.headLogits(pooled)
-	probs := tensor.SoftmaxRows(tensor.FromSlice(1, len(logits), logits)).Row(0)
+	ws := m.ws
+	ws.pooled = m.pool(ws.pooled, acts)
+	pooled := ws.pooled
+	ws.logits = ws.logits.Reuse(1, m.Labels)
+	m.headLogits(ws.logits.Data, pooled)
+	ws.probs = tensor.SoftmaxRowsInto(ws.probs, ws.logits)
+	probs := ws.probs.Data
 	p := probs[label]
 	if p < 1e-12 {
 		p = 1e-12
@@ -482,7 +560,8 @@ func (m *Model) LossAndBackward(tokens []int, label int) (float64, *tensor.Matri
 	loss := -math.Log(float64(p))
 
 	// Head backward.
-	dLogits := make([]float32, m.Labels)
+	ws.dLogits = reuseSlice(ws.dLogits, m.Labels)
+	dLogits := ws.dLogits
 	copy(dLogits, probs)
 	dLogits[label] -= 1
 	for j := 0; j < m.Labels; j++ {
@@ -492,7 +571,8 @@ func (m *Model) LossAndBackward(tokens []int, label int) (float64, *tensor.Matri
 		}
 	}
 	// Mean pooling distributes the pooled gradient evenly over positions.
-	dPooled := make([]float32, m.Hidden)
+	ws.dPooled = reuseSlice(ws.dPooled, m.Hidden)
+	dPooled := ws.dPooled
 	for i := 0; i < m.Hidden; i++ {
 		var s float32
 		for j := 0; j < m.Labels; j++ {
@@ -500,13 +580,14 @@ func (m *Model) LossAndBackward(tokens []int, label int) (float64, *tensor.Matri
 		}
 		dPooled[i] = s / float32(acts.Rows)
 	}
-	dActs := tensor.New(acts.Rows, acts.Cols)
+	ws.dActs = ws.dActs.Reuse(acts.Rows, acts.Cols)
+	dActs := ws.dActs
 	for i := 0; i < acts.Rows; i++ {
 		copy(dActs.Row(i), dPooled)
 	}
 
 	for l := len(m.Blocks) - 1; l >= 0; l-- {
-		dActs = m.Blocks[l].backward(dActs, m.Heads, m.HeadDim())
+		dActs = m.Blocks[l].backward(dActs, m.Heads, m.HeadDim(), &ws.blocks[l])
 	}
 
 	// Embedding gradients.

@@ -176,7 +176,7 @@ func TestLayerNormForwardProperties(t *testing.T) {
 	for i := range g {
 		g[i] = 1
 	}
-	out, _ := layerNormForward(x, g, b)
+	out := layerNormForward(nil, x, g, b, new(lnCache))
 	for i := 0; i < out.Rows; i++ {
 		row := out.Row(i)
 		var mean float64

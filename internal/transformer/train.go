@@ -65,7 +65,8 @@ func (m *Model) optimView(group paramGroup) (params, grads []*tensor.Matrix) {
 // Train fine-tunes (or pre-trains) the model on examples with AdamW and
 // returns the final epoch's mean loss. Defaults mirror transformer
 // fine-tuning practice: small LR (3e-4 here, scaled for the small models),
-// a short warmup, decoupled weight decay, and few epochs.
+// a short warmup, decoupled weight decay, and few epochs. Every step
+// reuses the model's training workspace; Train drops it on return.
 func (m *Model) Train(examples []Example, cfg TrainConfig) float64 {
 	if len(examples) == 0 {
 		panic("transformer: Train with no examples")
@@ -141,6 +142,7 @@ func (m *Model) Train(examples []Example, cfg TrainConfig) float64 {
 			cfg.OnEpoch(epoch, lastLoss)
 		}
 	}
+	m.ws = nil
 	return lastLoss
 }
 
@@ -209,10 +211,10 @@ func (m *Model) HeadConfidence(probes [][]int) [][]float64 {
 		m.forwardCached(tokens)
 		for l, b := range m.Blocks {
 			for h := 0; h < m.Heads; h++ {
-				if b.HeadPruned[h] || b.cache.probs[h] == nil {
+				if b.HeadPruned[h] || m.ws.blocks[l].probs[h] == nil {
 					continue
 				}
-				p := b.cache.probs[h]
+				p := m.ws.blocks[l].probs[h]
 				var sum float64
 				for i := 0; i < p.Rows; i++ {
 					row := p.Row(i)
@@ -253,10 +255,10 @@ func (m *Model) HeadConfidenceSeries(probes [][]int) [][][]float64 {
 		m.forwardCached(tokens)
 		for l, b := range m.Blocks {
 			for h := 0; h < m.Heads; h++ {
-				if b.HeadPruned[h] || b.cache.probs[h] == nil {
+				if b.HeadPruned[h] || m.ws.blocks[l].probs[h] == nil {
 					continue
 				}
-				p := b.cache.probs[h]
+				p := m.ws.blocks[l].probs[h]
 				var sum float64
 				for i := 0; i < p.Rows; i++ {
 					row := p.Row(i)

@@ -62,7 +62,7 @@ type manifestEntry struct {
 }
 
 type manifest struct {
-	Version int    `json:"version"`
+	Version int `json:"version"`
 	// Config records the build that last wrote the store — provenance
 	// only; reuse decisions run entirely on per-entry keys.
 	Config  cacheConfig     `json:"config"`
