@@ -41,20 +41,21 @@ metrics-smoke:
 # per-victim checkpoints), resumed to completion, and compared against
 # the same campaign run uninterrupted. The resumed run's counters must
 # match the uninterrupted run's exactly — zero re-paid hammer rounds and
-# reconciling accounting (timers are wall-clock and excluded).
+# reconciling accounting (timers are wall-clock and excluded). The first
+# run builds the zoo store; the other two open it warm.
 FAULTS_SPEC = seed=11,transient=0.02,recovery=3,stuck=0.0005,outage=0.001,period=1500
 faults-smoke:
 	rm -rf .faults-smoke && mkdir -p .faults-smoke
 	$(GO) run ./cmd/decepticon -scale tiny -all -workers 2 \
-		-cache .faults-smoke/zoo -faults '$(FAULTS_SPEC)' \
+		-store .faults-smoke/zoo -faults '$(FAULTS_SPEC)' \
 		-checkpoint .faults-smoke/ckpt -read-budget 4000 \
 		-metrics .faults-smoke/interrupted.json >/dev/null
 	$(GO) run ./cmd/decepticon -scale tiny -all -workers 2 \
-		-cache .faults-smoke/zoo -faults '$(FAULTS_SPEC)' \
+		-store .faults-smoke/zoo -faults '$(FAULTS_SPEC)' \
 		-checkpoint .faults-smoke/ckpt -resume \
 		-metrics .faults-smoke/resumed.json >/dev/null
 	$(GO) run ./cmd/decepticon -scale tiny -all -workers 2 \
-		-cache .faults-smoke/zoo -faults '$(FAULTS_SPEC)' \
+		-store .faults-smoke/zoo -faults '$(FAULTS_SPEC)' \
 		-metrics .faults-smoke/uninterrupted.json >/dev/null
 	$(GO) run ./cmd/metricscheck .faults-smoke/interrupted.json
 	$(GO) run ./cmd/metricscheck -equal-counters \
@@ -66,9 +67,11 @@ faults-smoke:
 # simulated, never wall time), both validating under metricscheck, and
 # the exported snapshot must carry consistent latency histograms. A
 # second run under faults with a small read budget must leave a
-# validating flight-recorder dump next to its checkpoints. The two
-# trace runs deliberately do NOT share a zoo cache: a cache hit skips
-# the build spans and would break the byte-identity comparison.
+# validating flight-recorder dump next to its checkpoints. The same
+# pair with -hier checks the hierarchy's concurrently trained shards,
+# each on its own trace lane. The trace runs deliberately do NOT share a
+# zoo store: a warm open skips the build spans and would break the
+# byte-identity comparison.
 trace-smoke:
 	rm -rf .trace-smoke && mkdir -p .trace-smoke
 	$(GO) run ./cmd/decepticon -scale tiny -all -workers 1 \
@@ -79,6 +82,12 @@ trace-smoke:
 	cmp .trace-smoke/w1.json .trace-smoke/w4.json
 	$(GO) run ./cmd/metricscheck -trace .trace-smoke/w1.json \
 		.trace-smoke/run.json .trace-smoke/run.prom
+	$(GO) run ./cmd/decepticon -scale tiny -all -workers 1 -hier \
+		-trace .trace-smoke/h1.json >/dev/null
+	$(GO) run ./cmd/decepticon -scale tiny -all -workers 4 -hier \
+		-trace .trace-smoke/h4.json >/dev/null
+	cmp .trace-smoke/h1.json .trace-smoke/h4.json
+	$(GO) run ./cmd/metricscheck -trace .trace-smoke/h1.json
 	$(GO) run ./cmd/decepticon -scale tiny -all -workers 2 \
 		-faults '$(FAULTS_SPEC)' -checkpoint .trace-smoke/ckpt \
 		-read-budget 4000 -flight .trace-smoke/flight.json >/dev/null
@@ -93,19 +102,19 @@ trace-smoke:
 # -resume run then finishes the remainder, and its counters must equal a
 # never-interrupted campaign's exactly (Ctrl-C behaves like a read
 # budget: checkpoint, report interrupted, resume byte-identically). The
-# zoo cache is pre-built so every campaign run starts from the same
+# zoo store is pre-built so every campaign run starts from the same
 # counters and the signal lands in the attack phase, not the build; the
 # checkpoint poll is fine-grained because a tiny campaign's attack phase
 # lasts well under a second.
 cancel-smoke:
 	rm -rf .cancel-smoke && mkdir -p .cancel-smoke
 	$(GO) build -o .cancel-smoke/decepticon ./cmd/decepticon
-	$(GO) run ./cmd/zoo -scale tiny -cache .cancel-smoke/zoo >/dev/null
+	$(GO) run ./cmd/zoo -scale tiny -store .cancel-smoke/zoo >/dev/null
 	.cancel-smoke/decepticon -scale tiny -all -workers 2 \
-		-cache .cancel-smoke/zoo \
+		-store .cancel-smoke/zoo \
 		-metrics .cancel-smoke/uninterrupted.json >/dev/null
 	( .cancel-smoke/decepticon -scale tiny -all -workers 2 \
-		-cache .cancel-smoke/zoo -checkpoint .cancel-smoke/ckpt \
+		-store .cancel-smoke/zoo -checkpoint .cancel-smoke/ckpt \
 		-metrics .cancel-smoke/interrupted.json \
 		-flight .cancel-smoke/flight.json >/dev/null & \
 	  pid=$$!; \
@@ -117,7 +126,7 @@ cancel-smoke:
 	$(GO) run ./cmd/metricscheck .cancel-smoke/interrupted.json
 	$(GO) run ./cmd/metricscheck -flight .cancel-smoke/flight.json
 	.cancel-smoke/decepticon -scale tiny -all -workers 2 \
-		-cache .cancel-smoke/zoo -checkpoint .cancel-smoke/ckpt -resume \
+		-store .cancel-smoke/zoo -checkpoint .cancel-smoke/ckpt -resume \
 		-metrics .cancel-smoke/resumed.json >/dev/null
 	$(GO) run ./cmd/metricscheck -equal-counters \
 		.cancel-smoke/resumed.json .cancel-smoke/uninterrupted.json
@@ -125,24 +134,24 @@ cancel-smoke:
 
 # End-to-end multi-modal check: a tiny campaign measured through all
 # three level-1 channels (trace, power, counters) must produce identical
-# counters at 1 and 4 workers (the zoo cache is pre-built so both runs
-# start from the same build counters), and a run with the power sensor
+# counters at 1 and 4 workers (the zoo store is pre-built so both runs
+# start from the same warm-open counters), and a run with the power sensor
 # jammed must complete gracefully — reporting degraded identification on
 # the core.modality_jammed / core.identify_degraded counters rather than
 # failing.
 fusion-smoke:
 	rm -rf .fusion-smoke && mkdir -p .fusion-smoke
-	$(GO) run ./cmd/zoo -scale tiny -cache .fusion-smoke/zoo >/dev/null
+	$(GO) run ./cmd/zoo -scale tiny -store .fusion-smoke/zoo >/dev/null
 	$(GO) run ./cmd/decepticon -scale tiny -all -workers 1 \
-		-cache .fusion-smoke/zoo -modalities trace,power,counters \
+		-store .fusion-smoke/zoo -modalities trace,power,counters \
 		-metrics .fusion-smoke/w1.json >/dev/null
 	$(GO) run ./cmd/decepticon -scale tiny -all -workers 4 \
-		-cache .fusion-smoke/zoo -modalities trace,power,counters \
+		-store .fusion-smoke/zoo -modalities trace,power,counters \
 		-metrics .fusion-smoke/w4.json >/dev/null
 	$(GO) run ./cmd/metricscheck -equal-counters \
 		.fusion-smoke/w1.json .fusion-smoke/w4.json
 	$(GO) run ./cmd/decepticon -scale tiny -all -workers 2 \
-		-cache .fusion-smoke/zoo -modalities trace,power,counters \
+		-store .fusion-smoke/zoo -modalities trace,power,counters \
 		-jam power -metrics .fusion-smoke/jam.json >/dev/null
 	$(GO) run ./cmd/metricscheck \
 		-nonzero core.modality_jammed,core.identify_degraded \

@@ -240,8 +240,8 @@ func benchZooBuildWorkers(b *testing.B, workers int) {
 func BenchmarkZooBuildWorkers1(b *testing.B) { benchZooBuildWorkers(b, 1) }
 func BenchmarkZooBuildWorkers4(b *testing.B) { benchZooBuildWorkers(b, 4) }
 
-// benchColdStartCfg is the population the cold-start benchmarks
-// materialize: trace-grade budgets, so the measured cost is the
+// benchColdStartCfg is the population the cold-start benchmark
+// materializes: trace-grade budgets, so the measured cost is the
 // load/open path, not training quality.
 func benchColdStartCfg() zoo.BuildConfig {
 	cfg := zoo.SmallBuildConfig()
@@ -254,31 +254,9 @@ func benchColdStartCfg() zoo.BuildConfig {
 	return cfg
 }
 
-// BenchmarkZooCacheLoad measures the legacy warm cold-start: decoding
-// the whole monolithic cache (every model's tensors) up front.
-func BenchmarkZooCacheLoad(b *testing.B) {
-	cfg := benchColdStartCfg()
-	path := b.TempDir() + "/zoo.gob.gz"
-	z, err := zoo.Build(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := z.SaveFile(path); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := zoo.LoadFile(path); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkZooStoreOpen measures the store's warm cold-start: a
 // manifest read plus object verification, with every tensor left on
-// disk behind a lazy handle. Compare against BenchmarkZooCacheLoad —
-// this is the startup-latency win the store buys.
+// disk behind a lazy handle.
 func BenchmarkZooStoreOpen(b *testing.B) {
 	cfg := benchColdStartCfg()
 	dir := b.TempDir()

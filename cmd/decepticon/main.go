@@ -41,7 +41,7 @@ func main() {
 func run() error {
 	var opts cliconfig.Options
 	opts.RegisterCommon(flag.CommandLine)
-	opts.RegisterCache(flag.CommandLine)
+	opts.RegisterStore(flag.CommandLine)
 	opts.RegisterFaults(flag.CommandLine)
 	opts.RegisterFlight(flag.CommandLine)
 	opts.RegisterModalities(flag.CommandLine)
@@ -79,7 +79,7 @@ func run() error {
 		if z == nil {
 			return err
 		}
-		log.Printf("zoo cache: %v", err)
+		log.Printf("zoo store: %v", err)
 	}
 
 	log.Printf("training the pre-trained model extractor...")

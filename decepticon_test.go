@@ -5,7 +5,7 @@ package decepticon_test
 
 import (
 	"bytes"
-	"path/filepath"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -55,21 +55,31 @@ func TestPublicEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPublicZooCache(t *testing.T) {
+func TestPublicZooStore(t *testing.T) {
 	cfg := decepticon.TraceOnlyZooConfig()
 	cfg.NumPretrained = 2
 	cfg.NumFineTuned = 2
-	path := filepath.Join(t.TempDir(), "zoo.gob.gz")
-	a, err := decepticon.BuildOrLoadZoo(cfg, path)
+	dir := t.TempDir()
+	a, st, err := decepticon.BuildOrOpenZooStore(context.Background(), cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := decepticon.BuildOrLoadZoo(cfg, path)
+	if st.Trained() != 4 {
+		t.Fatalf("cold store trained %d models, want 4", st.Trained())
+	}
+	b, st, err := decepticon.BuildOrOpenZooStore(context.Background(), cfg, dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.Trained() != 0 || st.Reused != 4 {
+		t.Fatalf("warm store trained %d, reused %d; want 0/4", st.Trained(), st.Reused)
 	}
 	if a.Pretrained[0].Name != b.Pretrained[0].Name {
-		t.Fatal("cache round trip changed the population")
+		t.Fatal("store round trip changed the population")
+	}
+	tokens := b.FineTuned[0].Dev[0].Tokens
+	if a.FineTuned[0].Model().Predict(tokens) != b.FineTuned[0].Model().Predict(tokens) {
+		t.Fatal("store round trip changed a victim's prediction")
 	}
 }
 

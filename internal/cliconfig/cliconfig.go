@@ -54,8 +54,7 @@ type Options struct {
 	CPUProf  string
 	MemProf  string
 
-	// Cache group.
-	Cache         string
+	// Store group.
 	Store         string
 	ReleaseModels bool
 
@@ -90,11 +89,10 @@ func (o *Options) RegisterCommon(fs *flag.FlagSet) {
 	fs.StringVar(&o.MemProf, "memprofile", "", "write a heap allocation profile of the whole run to this file on exit (go tool pprof -sample_index=alloc_space)")
 }
 
-// RegisterCache declares the zoo-materialization group: -cache, -store,
+// RegisterStore declares the zoo-materialization group: -store,
 // -release-models.
-func (o *Options) RegisterCache(fs *flag.FlagSet) {
-	fs.StringVar(&o.Cache, "cache", "", "zoo cache file (built once, reused afterwards)")
-	fs.StringVar(&o.Store, "store", "", "content-addressed zoo store directory: models load lazily on first use, and a rerun retrains only entries whose configuration changed; with -cache set, a matching monolithic cache is imported once instead of retraining")
+func (o *Options) RegisterStore(fs *flag.FlagSet) {
+	fs.StringVar(&o.Store, "store", "", "content-addressed zoo store directory, built on first use: models load lazily, and a rerun retrains only entries whose configuration changed (empty = build the zoo in memory every run)")
 	fs.BoolVar(&o.ReleaseModels, "release-models", false, "drop each victim's tensors (and its backbone's) after its report; with -store the campaign's peak memory tracks the victims in flight, not the population")
 }
 
@@ -104,16 +102,17 @@ func (o *Options) RegisterIdentify(fs *flag.FlagSet) {
 }
 
 // LoadZoo materializes the population the options ask for: from the
-// content-addressed store when -store is set (with -cache, if present,
-// offered as a one-time import source), else from the monolithic -cache
-// file. The zoo-affecting fields of cfg (Workers, Obs, OnProgress) are
-// expected to be filled by the caller.
+// content-addressed store when -store is set, else by building it in
+// memory. With -store, a non-nil zoo alongside an error means only the
+// manifest write failed; the population itself is usable. The
+// zoo-affecting fields of cfg (Workers, Obs, OnProgress) are expected to
+// be filled by the caller.
 func (o *Options) LoadZoo(ctx context.Context, cfg zoo.BuildConfig) (*zoo.Zoo, error) {
 	if o.Store != "" {
-		z, _, err := zoo.BuildOrOpenStore(ctx, cfg, o.Store, o.Cache)
+		z, _, err := zoo.BuildOrOpenStore(ctx, cfg, o.Store, "")
 		return z, err
 	}
-	return zoo.BuildOrLoadContext(ctx, cfg, o.Cache)
+	return zoo.BuildContext(ctx, cfg)
 }
 
 // RegisterFaults declares the fault/checkpoint group: -faults,

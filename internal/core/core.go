@@ -48,12 +48,13 @@ type Attack struct {
 	// identifier uses (nil = equal weights). Prepare fills them from each
 	// classifier's calibration accuracy on its training set.
 	FusionWeights map[fingerprint.Modality]float64
-	// Hier, when non-nil, replaces the flat classifier in the Identify
-	// stage with the two-level family→release identifier (trained when
-	// PrepareConfig.Hierarchical is set). The flat classifier is still
-	// trained — fused multi-modal identification and calibration use it —
-	// but single-trace identification walks the hierarchy, whose cost
-	// stays sub-linear in the zoo's release count.
+	// Hier, when non-nil, replaces the flat classifier as the trace
+	// sensor's identifier with the two-level family→release hierarchy
+	// (trained when PrepareConfig.Hierarchical is set), alone or under
+	// fusion with the other sensors. The flat classifier is still trained
+	// — the fusion-weight calibration uses it — but trace identification
+	// walks the hierarchy, whose cost stays sub-linear in the zoo's
+	// release count.
 	Hier       *fingerprint.Hierarchical
 	ExtractCfg extract.Config
 	// Obs receives the attack's cost accounting (phase wall times, victim
@@ -87,7 +88,7 @@ type PrepareConfig struct {
 	Modalities []fingerprint.Modality
 	// Hierarchical additionally trains the two-level family→release
 	// identifier (fingerprint.Hierarchical) on the same dataset and
-	// installs it as the Identify stage's classifier. Intended for large
+	// installs it as the trace sensor's identifier. Intended for large
 	// zoos, where the flat CNN's class count grows with every release but
 	// the hierarchy's family level stays fixed.
 	Hierarchical bool
@@ -239,8 +240,9 @@ type Report struct {
 	// the expensive rowhammer phase.
 	ArchConfirmed bool
 	// Modalities lists the measurement channels that contributed to this
-	// identification (multi-modal runs only; empty means the legacy
-	// trace-only path). JammedModalities lists requested sensors that
+	// identification. It is filled only when the run asked for more than
+	// the plain kernel trace (another modality, or jamming); a default
+	// run leaves it empty. JammedModalities lists requested sensors that
 	// were jammed; IdentifyDegraded is set when any requested sensor was
 	// jammed or absent and the run fell back to the survivors.
 	Modalities       []string
@@ -533,8 +535,8 @@ type RunOptions struct {
 	// MeasureSeed seeds the victim trace measurement.
 	MeasureSeed uint64
 	// Modalities selects the level-1 measurement channels for
-	// identification (nil = the paper's kernel trace alone, which keeps
-	// the legacy stage path byte-for-byte). With more than one modality
+	// identification (nil = the paper's kernel trace alone, a one-sensor
+	// set through the same stages). With more than one modality
 	// the victim still runs once — every sensor is passive — and the
 	// per-modality posteriors fuse into one identification. A requested
 	// modality whose classifier was never trained degrades the run to the
@@ -752,22 +754,11 @@ func (a *Attack) RunContext(ctx context.Context, victim *zoo.FineTuned, opt RunO
 		return victim.Model().Predict(tokens)
 	}
 	eng := &pipeline.Engine{
-		Trace:        r,
-		Identify:     r,
+		Trace:        &multiMeasure{r: r, sensors: sensorsFor(r)},
+		Identify:     &fusedIdentify{r: r},
 		Disambiguate: r,
 		Extract:      r, // attackRun is also Gated: the bus-probe arch check gates rowhammer
 		Evaluate:     r,
-	}
-	if multiModal(opt) {
-		// Multi-modal runs swap in the composite sensor stages; the
-		// single-trace un-jammed default keeps the legacy implementations
-		// (and their byte-identical outputs) untouched.
-		sensors := make([]sensorStage, 0, len(opt.Modalities))
-		for _, m := range normalizeModalities(opt.Modalities) {
-			sensors = append(sensors, newSensor(m, r))
-		}
-		eng.Trace = &multiMeasure{r: r, sensors: sensors}
-		eng.Identify = &fusedIdentify{r: r}
 	}
 	if opt.Adversarial {
 		eng.Adversarial = r

@@ -10,15 +10,16 @@ import (
 	"decepticon/internal/rng"
 )
 
-// This file wires the pluggable level-1 measurement modalities through
-// the pipeline's stage boundary. Each modality gets its own
-// MeasureStage+IdentifyStage pair (traceSensor, powerSensor,
+// This file is level 1 of every run: the pluggable measurement
+// modalities wired through the pipeline's stage boundary. Each modality
+// gets its own MeasureStage+IdentifyStage pair (traceSensor, powerSensor,
 // counterSensor — all behind pipeline.TraceStage/IdentifyStage);
 // multiMeasure and fusedIdentify compose the requested set into the
 // engine's single Trace/Identify slots: one victim inference feeds every
 // passive sensor, and the per-modality posteriors pool into one
 // identification that degrades gracefully — with logged, metered obs
-// counters — when a sensor is jammed or absent.
+// counters — when a sensor is jammed or absent. The paper's trace-only
+// attack is the one-sensor set.
 
 // sensorStage is one modality's stage pair plus the wiring the
 // composites need: availability (is its classifier trained?) and the
@@ -40,7 +41,8 @@ func channelSensorSeed(m fingerprint.Modality, victim string, measureSeed uint64
 
 // traceSensor is the paper's channel as a stage pair: the kernel launch
 // timeline measured through the contention side channel, identified by
-// the CNN.
+// the flat CNN, or by the family→release hierarchy when the attack was
+// prepared with one.
 type traceSensor struct {
 	r    *attackRun
 	post []float64
@@ -50,17 +52,21 @@ func (t *traceSensor) modality() fingerprint.Modality { return fingerprint.Modal
 func (t *traceSensor) available() bool                { return t.r.a.Classifier != nil }
 func (t *traceSensor) posterior() []float64           { return t.post }
 
-// MeasureTrace records the kernel timeline. Under multiMeasure the
-// victim's schedule is already simulated; the trace sensor observes it
-// directly.
+// MeasureTrace records the kernel timeline. multiMeasure has already
+// simulated the victim's schedule; the trace sensor observes it directly.
 func (t *traceSensor) MeasureTrace(s *pipeline.State) error {
 	t.r.trace = t.r.schedule
 	return nil
 }
 
-// Identify computes the CNN posterior over the measured timeline.
+// Identify computes the posterior over the measured timeline: the
+// hierarchy's family-gated one when trained, else the flat CNN's.
 func (t *traceSensor) Identify(s *pipeline.State) error {
-	t.post = t.r.a.Classifier.Posterior(t.r.trace)
+	if h := t.r.a.Hier; h != nil {
+		t.post = h.Posterior(t.r.trace)
+	} else {
+		t.post = t.r.a.Classifier.Posterior(t.r.trace)
+	}
 	return nil
 }
 
@@ -119,6 +125,17 @@ func (c *counterSensor) Identify(s *pipeline.State) error {
 	return nil
 }
 
+// sensorsFor builds the run's sensor set: the requested modalities, or
+// the kernel trace alone when none are requested.
+func sensorsFor(r *attackRun) []sensorStage {
+	mods := normalizeModalities(r.opt.Modalities)
+	sensors := make([]sensorStage, len(mods))
+	for i, m := range mods {
+		sensors[i] = newSensor(m, r)
+	}
+	return sensors
+}
+
 // newSensor maps a modality to its stage pair.
 func newSensor(m fingerprint.Modality, r *attackRun) sensorStage {
 	switch m {
@@ -131,14 +148,15 @@ func newSensor(m fingerprint.Modality, r *attackRun) sensorStage {
 	}
 }
 
-// multiMeasure is the composite TraceStage of a multi-modal run: it
-// opens the identify phase exactly like the legacy path, simulates the
-// victim's inference once (every sensor is passive — they all tap the
-// same run, so the phase clock advances by the one kernel timeline
-// regardless of how many sensors listen), then lets each surviving
-// sensor record its channel. Jammed and absent sensors degrade the run
-// instead of failing it: logged, counted on core.modality_jammed /
-// core.modality_absent, and excluded from fusion.
+// multiMeasure is the composite TraceStage of every run: it opens the
+// identify phase (closed in Disambiguate), simulates the victim's
+// inference once, and advances the trace lane and the pipeline clock by
+// its kernel timeline. Every sensor is passive — they all tap the same
+// run, so the clock advances by the one timeline regardless of how many
+// sensors listen. Each surviving sensor then records its channel. Jammed
+// and absent sensors degrade the run instead of failing it: logged,
+// counted on core.modality_jammed / core.modality_absent, and excluded
+// from fusion.
 type multiMeasure struct {
 	r       *attackRun
 	sensors []sensorStage
@@ -160,6 +178,7 @@ func (m *multiMeasure) MeasureTrace(s *pipeline.State) error {
 		jammed[j] = true
 	}
 	degraded := false
+	reportModalities := multiModal(r.opt)
 	for _, sensor := range m.sensors {
 		mod := sensor.modality()
 		switch {
@@ -180,7 +199,9 @@ func (m *multiMeasure) MeasureTrace(s *pipeline.State) error {
 				return err
 			}
 			r.live = append(r.live, sensor)
-			r.rep.Modalities = append(r.rep.Modalities, string(mod))
+			if reportModalities {
+				r.rep.Modalities = append(r.rep.Modalities, string(mod))
+			}
 		}
 	}
 	if degraded {
@@ -198,7 +219,9 @@ func (m *multiMeasure) MeasureTrace(s *pipeline.State) error {
 // fusedIdentify is the composite IdentifyStage: each live sensor's
 // identifier runs, the posteriors pool by weighted log-linear fusion
 // (Attack.FusionWeights, equal when unset), and the argmax becomes the
-// identified candidate — the same contract the CNN-only Identify honors.
+// identified candidate. A candidate the zoo does not know is a real error
+// (the identifiers and the candidate pool are out of sync), not a
+// per-victim degradation.
 type fusedIdentify struct {
 	r *attackRun
 }
@@ -252,10 +275,10 @@ func normalizeModalities(ms []fingerprint.Modality) []fingerprint.Modality {
 	return ms
 }
 
-// multiModal reports whether the run needs the composite sensor path: any
-// modality beyond the plain kernel trace, or any jamming to honor. The
-// single-trace un-jammed request keeps the legacy stage implementations
-// byte-for-byte.
+// multiModal reports whether the run asked for more than the paper's
+// plain kernel trace: any other modality, or any jamming to honor. Only
+// such runs fill Report.Modalities; a default run's report carries no
+// modality fields.
 func multiModal(opt RunOptions) bool {
 	mods := normalizeModalities(opt.Modalities)
 	return len(mods) > 1 || mods[0] != fingerprint.ModalityTrace || len(opt.Jammed) > 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"decepticon/internal/fingerprint"
 	"decepticon/internal/obs"
+	"decepticon/internal/pipeline"
 	"decepticon/internal/zoo"
 )
 
@@ -179,5 +181,52 @@ func TestLegacyPathUntouched(t *testing.T) {
 	}
 	if rep.Modalities != nil || rep.JammedModalities != nil || rep.IdentifyDegraded {
 		t.Fatalf("legacy run must not report modality fields: %+v", rep)
+	}
+}
+
+// identifyOnly runs a victim through the level-1 stages alone — measure
+// and identify, before query-probe disambiguation can override the
+// pick — and returns the run so its trace and sensors can be inspected.
+func identifyOnly(t *testing.T, atk *Attack, victim *zoo.FineTuned, opt RunOptions) *attackRun {
+	t.Helper()
+	r := &attackRun{a: atk, opt: opt, victim: victim, rep: &Report{}, log: atk.Obs.Log()}
+	s := &pipeline.State{Ctx: context.Background(), Clock: &pipeline.SimClock{}}
+	if err := (&multiMeasure{r: r, sensors: sensorsFor(r)}).MeasureTrace(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := (&fusedIdentify{r: r}).Identify(s); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// An attack prepared with the hierarchy identifies through it on every
+// path: a trace-only run picks Hier.Predict, and under fusion the trace
+// sensor contributes the hierarchy's posterior, not the flat CNN's.
+func TestHierarchyIdentifiesThroughSensors(t *testing.T) {
+	z := zoo.MustBuild(zoo.TinyBuildConfig())
+	atk, err := Prepare(z, PrepareConfig{
+		SamplesPerModel: 2, ImgSize: 32, Epochs: 8, LR: 0.002, Seed: 7,
+		Modalities:   []fingerprint.Modality{fingerprint.ModalityPower},
+		Hierarchical: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range z.FineTuned {
+		seed := uint64(i + 1)
+		r := identifyOnly(t, atk, v, RunOptions{MeasureSeed: seed})
+		if want := atk.Hier.Predict(r.trace); r.identified != want {
+			t.Fatalf("%s: trace-only run identified %s, hierarchy predicts %s", v.Name, r.identified, want)
+		}
+
+		r = identifyOnly(t, atk, v, RunOptions{MeasureSeed: seed,
+			Modalities: []fingerprint.Modality{fingerprint.ModalityTrace, fingerprint.ModalityPower}})
+		if len(r.live) != 2 || r.live[0].modality() != fingerprint.ModalityTrace {
+			t.Fatalf("%s: live sensors %d, want trace and power", v.Name, len(r.live))
+		}
+		if got, want := r.live[0].posterior(), atk.Hier.Posterior(r.trace); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: fused trace posterior %v, hierarchy posterior %v", v.Name, got, want)
+		}
 	}
 }

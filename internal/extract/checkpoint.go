@@ -6,7 +6,7 @@
 // tensor: Run saves after every completed tensor, so at most one
 // tensor's reads are in flight and none are ever re-paid.
 //
-// The format is gob (the same stdlib-only serialization the zoo cache
+// The format is gob (the same stdlib-only serialization the zoo store
 // uses), written atomically: encode to a temp file in the target
 // directory, then rename over the destination, so a kill mid-write
 // leaves the previous checkpoint intact.
@@ -62,7 +62,7 @@ type Checkpoint struct {
 }
 
 // writeCheckpoint atomically persists ck at path (fsatomic temp-file +
-// rename, the same discipline as the zoo cache and the service store).
+// rename, the same discipline as the zoo store and the service store).
 func writeCheckpoint(path string, ck *Checkpoint) error {
 	err := fsatomic.Write(path, func(w io.Writer) error {
 		return gob.NewEncoder(w).Encode(ck)

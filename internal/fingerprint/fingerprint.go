@@ -19,7 +19,6 @@ import (
 	"decepticon/internal/obs"
 	"decepticon/internal/parallel"
 	"decepticon/internal/rng"
-	"decepticon/internal/stats"
 	"decepticon/internal/tensor"
 	"decepticon/internal/traceimg"
 	"decepticon/internal/zoo"
@@ -233,6 +232,14 @@ func (c *Classifier) Train(d *Dataset, cfg TrainConfig) float64 {
 // Callers that need to distinguish a full training from an aborted one
 // check ctx.Err() afterwards.
 func (c *Classifier) TrainContext(ctx context.Context, d *Dataset, cfg TrainConfig) float64 {
+	return c.train(ctx, d, cfg, c.Obs.Tracer().Track(obs.PidPipeline, 0, "pipeline"))
+}
+
+// train is TrainContext recording its span on the given trace lane.
+// Classifiers trained concurrently must each get their own lane: spans
+// interleaved on a shared lane would make the trace file depend on
+// scheduling.
+func (c *Classifier) train(ctx context.Context, d *Dataset, cfg TrainConfig, lane *obs.Track) float64 {
 	defer c.Obs.StartSpan("fingerprint.train_seconds").End()
 	c.Obs.Counter("fingerprint.train_samples").Add(int64(len(d.Samples)))
 	if cfg.Epochs <= 0 {
@@ -241,13 +248,12 @@ func (c *Classifier) TrainContext(ctx context.Context, d *Dataset, cfg TrainConf
 	if cfg.LR == 0 {
 		cfg.LR = 0.001
 	}
-	// Pipeline-lane span: the clock advances by epochs × samples, the
-	// deterministic unit of level-1 training work.
-	pipe := c.Obs.Tracer().Track(obs.PidPipeline, 0, "pipeline")
-	sp := pipe.Begin("fingerprint.train",
+	// The lane clock advances by epochs × samples, the deterministic unit
+	// of level-1 training work.
+	sp := lane.Begin("fingerprint.train",
 		obs.A("samples", len(d.Samples)), obs.A("epochs", cfg.Epochs))
 	defer sp.End()
-	defer pipe.Advance(int64(cfg.Epochs * len(d.Samples)))
+	defer lane.Advance(int64(cfg.Epochs * len(d.Samples)))
 	x, labels := c.matrixOf(d)
 	loss := c.net.Fit(x, labels, nn.TrainConfig{
 		Epochs:    cfg.Epochs,
@@ -271,19 +277,6 @@ func (c *Classifier) predictIdx(t *gpusim.Trace) int {
 	c.Obs.Counter("fingerprint.forwards").Inc()
 	x := tensor.FromSlice(1, c.ImgSize*c.ImgSize, c.preprocess(t))
 	return c.net.Predict(x)[0]
-}
-
-// PredictTopK returns the k most likely pre-trained model names, most
-// likely first.
-func (c *Classifier) PredictTopK(t *gpusim.Trace, k int) []string {
-	x := tensor.FromSlice(1, c.ImgSize*c.ImgSize, c.preprocess(t))
-	logits := c.net.Forward(x, false).Row(0)
-	idx := stats.TopK(logits, k)
-	out := make([]string, len(idx))
-	for i, j := range idx {
-		out[i] = c.Classes[j]
-	}
-	return out
 }
 
 // Accuracy returns classification accuracy over a dataset. Samples are

@@ -219,22 +219,33 @@ func TestNoiseToleranceDegradesGracefully(t *testing.T) {
 	}
 }
 
-func TestPredictTopK(t *testing.T) {
-	clf, _, test := getTrained(t)
-	s := test.Samples[0]
-	top := clf.PredictTopK(s.Trace, 3)
-	if len(top) != 3 {
-		t.Fatalf("topk returned %d", len(top))
-	}
-	if top[0] != clf.Predict(s.Trace) {
-		t.Fatal("top-1 must match Predict")
-	}
-	seen := map[string]bool{}
-	for _, name := range top {
-		if seen[name] {
-			t.Fatal("topk has duplicates")
+// Posterior is the trace sensor's entry into fusion: a probability
+// vector over Classes whose argmax — directly and after single-input
+// fusion — is Predict's answer on every sample.
+func TestPosteriorMatchesPredict(t *testing.T) {
+	clf, train, test := getTrained(t)
+	for _, d := range []*Dataset{train, test} {
+		for _, s := range d.Samples {
+			post := clf.Posterior(s.Trace)
+			if len(post) != len(clf.Classes) {
+				t.Fatalf("posterior has %d entries, want %d", len(post), len(clf.Classes))
+			}
+			var sum float64
+			for _, p := range post {
+				sum += p
+			}
+			if math.Abs(sum-1) > 1e-9 {
+				t.Fatalf("posterior sums to %v", sum)
+			}
+			want := clf.Predict(s.Trace)
+			if got := clf.Classes[ArgMax(post)]; got != want {
+				t.Fatalf("posterior argmax %s, Predict %s", got, want)
+			}
+			fused := FusePosteriors([][]float64{post}, []float64{1})
+			if got := clf.Classes[ArgMax(fused)]; got != want {
+				t.Fatalf("fused argmax %s, Predict %s", got, want)
+			}
 		}
-		seen[name] = true
 	}
 }
 
@@ -298,15 +309,15 @@ func TestClassifierSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Restored classifier predicts identically on every test trace — not
-	// just the top-1 label but the whole ranked top-k.
+	// just the top-1 label but the whole posterior.
 	for _, s := range test.Samples {
 		if got.Predict(s.Trace) != clf.Predict(s.Trace) {
 			t.Fatal("restored classifier predicts differently")
 		}
-		want := clf.PredictTopK(s.Trace, 3)
-		have := got.PredictTopK(s.Trace, 3)
+		want := clf.Posterior(s.Trace)
+		have := got.Posterior(s.Trace)
 		if !reflect.DeepEqual(want, have) {
-			t.Fatalf("restored top-k %v, want %v", have, want)
+			t.Fatalf("restored posterior %v, want %v", have, want)
 		}
 	}
 	if _, err := LoadClassifier(bytes.NewReader([]byte("junk"))); err == nil {

@@ -11,12 +11,13 @@ package fingerprint
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"decepticon/internal/gpusim"
 	"decepticon/internal/obs"
 	"decepticon/internal/parallel"
 	"decepticon/internal/rng"
+	"decepticon/internal/stats"
 	"decepticon/internal/tensor"
 	"decepticon/internal/zoo"
 )
@@ -32,6 +33,9 @@ const otherClass = "__other__"
 // than one release) picks the pre-trained model.
 type Hierarchical struct {
 	ImgSize int
+	// Classes is the flat answer space (the training dataset's class
+	// order) that Posterior aligns with.
+	Classes []string
 	// Family classifies traces into architecture-family names
 	// (zoo.Pretrained.ArchName), in first-appearance order.
 	Family *Classifier
@@ -70,7 +74,9 @@ func familyOf(z *zoo.Zoo, classes []string) (map[string]string, []string, error)
 // same labeled dataset a flat classifier trains on. Per-family release
 // classifiers (and the family classifier itself) train concurrently on
 // workers goroutines; each derives its seed from the family name, so the
-// trained weights are worker-count invariant.
+// trained weights are worker-count invariant. Each shard records its
+// training span on its own trace lane (pid obs.PidFingerprint, tid = job
+// index) inside one pipeline-lane span, so the trace file is too.
 func TrainHierarchical(ctx context.Context, z *zoo.Zoo, d *Dataset, imgSize int, cfg TrainConfig, workers int, reg *obs.Registry) (*Hierarchical, error) {
 	defer reg.StartSpan("fingerprint.hier_train_seconds").End()
 	byClass, families, err := familyOf(z, d.Classes)
@@ -102,6 +108,7 @@ func TrainHierarchical(ctx context.Context, z *zoo.Zoo, d *Dataset, imgSize int,
 	var jobs []famJob
 	h := &Hierarchical{
 		ImgSize: imgSize,
+		Classes: d.Classes,
 		Release: map[string]*Classifier{},
 		Direct:  map[string]string{},
 		Workers: workers,
@@ -147,19 +154,22 @@ func TrainHierarchical(ctx context.Context, z *zoo.Zoo, d *Dataset, imgSize int,
 	// classifiers. Each trained CNN keeps Workers=1 while training (the
 	// shard pool owns the parallelism) and inherits the caller's worker
 	// budget afterwards for evaluation.
+	pipe := reg.Tracer().Track(obs.PidPipeline, 0, "pipeline")
+	sp := pipe.Begin("fingerprint.hier_train", obs.A("classifiers", len(jobs)+1))
 	trained, err := parallel.MapErrCtx(ctx, len(jobs)+1, workers, func(ctx context.Context, i int) (*Classifier, error) {
-		if i == 0 {
-			c := NewClassifier(imgSize, families, rng.Seed("hier", "family")^cfg.Seed)
-			c.Workers, c.Obs = 1, reg
-			c.TrainContext(ctx, famData, TrainConfig{Epochs: cfg.Epochs, LR: cfg.LR, Seed: rng.Seed("hier-train", "family") ^ cfg.Seed})
-			return c, ctx.Err()
+		name, classes, data := "family", families, famData
+		if i > 0 {
+			j := jobs[i-1]
+			name, classes, data = j.name, j.data.Classes, j.data
 		}
-		j := jobs[i-1]
-		c := NewClassifier(imgSize, j.data.Classes, rng.Seed("hier", j.name)^cfg.Seed)
+		c := NewClassifier(imgSize, classes, rng.Seed("hier", name)^cfg.Seed)
 		c.Workers, c.Obs = 1, reg
-		c.TrainContext(ctx, j.data, TrainConfig{Epochs: cfg.Epochs, LR: cfg.LR, Seed: rng.Seed("hier-train", j.name) ^ cfg.Seed})
+		lane := reg.Tracer().Track(obs.PidFingerprint, int64(i), "hier "+name)
+		c.train(ctx, data, TrainConfig{Epochs: cfg.Epochs, LR: cfg.LR, Seed: rng.Seed("hier-train", name) ^ cfg.Seed}, lane)
 		return c, ctx.Err()
 	})
+	pipe.Advance(int64((len(jobs) + 1) * cfg.Epochs * len(d.Samples)))
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint: hierarchical training cancelled: %w", err)
 	}
@@ -181,27 +191,10 @@ func (c *Classifier) scores(t *gpusim.Trace) []float32 {
 	return c.net.Forward(x, false).Row(0)
 }
 
-// releaseTopK ranks a release classifier's real classes (the trailing
-// otherClass, when present, is never a candidate) by logit, best first.
-func releaseTopK(rc *Classifier, t *gpusim.Trace, k int) []string {
-	sc := rc.scores(t)
-	n := len(rc.Classes)
-	if n > 0 && rc.Classes[n-1] == otherClass {
-		n--
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return sc[order[a]] > sc[order[b]] })
-	if k > n {
-		k = n
-	}
-	out := make([]string, 0, k)
-	for _, i := range order[:k] {
-		out = append(out, rc.Classes[i])
-	}
-	return out
+// releaseScores returns a release classifier's logits over its real
+// classes: the trailing otherClass is never an answer.
+func releaseScores(rc *Classifier, t *gpusim.Trace) []float32 {
+	return rc.scores(t)[:len(rc.Classes)-1]
 }
 
 // Predict returns the pre-trained model name for a trace: family first,
@@ -211,34 +204,27 @@ func (h *Hierarchical) Predict(t *gpusim.Trace) string {
 	if name, ok := h.Direct[fam]; ok {
 		return name
 	}
-	return releaseTopK(h.Release[fam], t, 1)[0]
+	rc := h.Release[fam]
+	return rc.Classes[stats.ArgMax(releaseScores(rc, t))]
 }
 
-// PredictTopK ranks candidate releases family-first: families in
-// descending family-classifier score, each family contributing its
-// releases (ranked by its release classifier) before the next family.
-// The flat classifier's contract — k distinct candidate names, most
-// likely first — is preserved, which is what the Identify stage and the
-// disambiguation probes consume.
-func (h *Hierarchical) PredictTopK(t *gpusim.Trace, k int) []string {
-	famScores := h.Family.scores(t)
-	order := make([]int, len(famScores))
-	for i := range order {
-		order[i] = i
+// Posterior returns the hierarchy's class-probability vector for a
+// trace, aligned with Classes, so the hierarchy enters posterior fusion
+// exactly where the flat CNN would. It is family-gated: the family CNN's
+// argmax (lowest index on ties) picks one family; a single-release
+// family's release gets 1, a larger family's releases get the release
+// CNN's softmax over its real classes, and every other class gets 0. Its
+// argmax is therefore Predict's answer.
+func (h *Hierarchical) Posterior(t *gpusim.Trace) []float64 {
+	out := make([]float64, len(h.Classes))
+	fam := h.Family.Classes[stats.ArgMax(h.Family.scores(t))]
+	if name, ok := h.Direct[fam]; ok {
+		out[slices.Index(h.Classes, name)] = 1
+		return out
 	}
-	sort.SliceStable(order, func(a, b int) bool { return famScores[order[a]] > famScores[order[b]] })
-
-	var out []string
-	for _, fi := range order {
-		if len(out) >= k {
-			break
-		}
-		fam := h.Family.Classes[fi]
-		if name, ok := h.Direct[fam]; ok {
-			out = append(out, name)
-			continue
-		}
-		out = append(out, releaseTopK(h.Release[fam], t, k-len(out))...)
+	rc := h.Release[fam]
+	for i, p := range softmax64(releaseScores(rc, t)) {
+		out[slices.Index(h.Classes, rc.Classes[i])] = p
 	}
 	return out
 }

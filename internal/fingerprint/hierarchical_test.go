@@ -2,8 +2,13 @@ package fingerprint
 
 import (
 	"context"
+	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+
+	"decepticon/internal/obs"
 )
 
 var (
@@ -117,29 +122,63 @@ func TestHierarchicalMatchesFlatAccuracy(t *testing.T) {
 	}
 }
 
-// PredictTopK keeps the flat contract: k distinct known candidates, the
-// top-1 equal to Predict, every name resolvable in the zoo.
-func TestHierarchicalPredictTopK(t *testing.T) {
-	h, _, _, test := getHier(t)
+// Posterior is the hierarchy's entry into fusion: aligned with the flat
+// classes, family-gated (all mass inside the family the family CNN
+// picks), and its argmax — directly and after single-input fusion — is
+// Predict's answer on every train and test sample.
+func TestHierarchicalPosteriorMatchesPredict(t *testing.T) {
+	h, flat, train, test := getHier(t)
 	z := getZoo(t)
-	for _, s := range test.Samples[:10] {
-		top := h.PredictTopK(s.Trace, 3)
-		if len(top) != 3 {
-			t.Fatalf("top-3 returned %d candidates", len(top))
-		}
-		if top[0] != h.Predict(s.Trace) {
-			t.Fatalf("top-1 %s != Predict %s", top[0], h.Predict(s.Trace))
-		}
-		seen := map[string]bool{}
-		for _, name := range top {
-			if z.PretrainedByName(name) == nil {
-				t.Fatalf("candidate %q not in zoo", name)
+	if !slices.Equal(h.Classes, flat.Classes) {
+		t.Fatalf("hierarchy classes %v, flat classes %v", h.Classes, flat.Classes)
+	}
+	for _, d := range []*Dataset{train, test} {
+		for _, s := range d.Samples {
+			post := h.Posterior(s.Trace)
+			if len(post) != len(h.Classes) {
+				t.Fatalf("posterior has %d entries, want %d", len(post), len(h.Classes))
 			}
-			if seen[name] {
-				t.Fatalf("duplicate candidate %q", name)
+			fam := h.Family.Predict(s.Trace)
+			var sum float64
+			for i, p := range post {
+				sum += p
+				if p != 0 && z.PretrainedByName(h.Classes[i]).ArchName != fam {
+					t.Fatalf("class %s outside family %s has mass %v", h.Classes[i], fam, p)
+				}
 			}
-			seen[name] = true
+			if math.Abs(sum-1) > 1e-9 {
+				t.Fatalf("posterior sums to %v", sum)
+			}
+			want := h.Predict(s.Trace)
+			if got := h.Classes[ArgMax(post)]; got != want {
+				t.Fatalf("posterior argmax %s, Predict %s", got, want)
+			}
+			fused := FusePosteriors([][]float64{post}, []float64{1})
+			if got := h.Classes[ArgMax(fused)]; got != want {
+				t.Fatalf("fused argmax %s, Predict %s", got, want)
+			}
 		}
+	}
+}
+
+// Each concurrently trained shard records on its own trace lane, so the
+// trace — not just the weights — is the same for any worker count.
+func TestHierarchicalTraceWorkerInvariance(t *testing.T) {
+	z := getZoo(t)
+	_, train, _ := getTrained(t)
+	cfg := TrainConfig{Epochs: 2, LR: 0.002, Seed: 4}
+	events := func(workers int) []obs.TraceEvent {
+		reg := obs.New()
+		tr := obs.NewTracer()
+		reg.SetTracer(tr)
+		if _, err := TrainHierarchical(context.Background(), z, train, 64, cfg, workers, reg); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Events()
+	}
+	e1, e4 := events(1), events(4)
+	if !reflect.DeepEqual(e1, e4) {
+		t.Fatal("hierarchy training trace differs between 1 and 4 workers")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package fsatomic is the repository's one implementation of the
 // temp-file + rename write. Every durable artifact that a crash must not
-// corrupt — zoo caches, extraction checkpoints, committed benchmark
+// corrupt — zoo store objects and manifests, extraction checkpoints, committed benchmark
 // snapshots, the campaign service's specs and statuses — goes through
 // it: the content is written to a temp file in the destination
 // directory (same filesystem, so the rename is atomic), and the

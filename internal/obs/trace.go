@@ -21,6 +21,9 @@ const (
 	PidZoo = 2
 	// PidCampaign holds one lane per attacked victim.
 	PidCampaign = 3
+	// PidFingerprint holds one lane per level-1 classifier trained
+	// concurrently (the hierarchical identifier's shards).
+	PidFingerprint = 4
 )
 
 // TraceEvent is one Chrome/Perfetto trace_event JSON object. Only the
@@ -113,6 +116,8 @@ func processName(pid int64) string {
 		return "zoo build"
 	case PidCampaign:
 		return "campaign"
+	case PidFingerprint:
+		return "fingerprint training"
 	}
 	return fmt.Sprintf("process %d", pid)
 }

@@ -9,10 +9,10 @@ import (
 // flavors exist:
 //
 //   - a resident handle wraps a model that lives in memory for the
-//     handle's whole lifetime (a freshly trained model, or a population
-//     loaded from the monolithic cache). Get returns it, Release is a
-//     no-op — resident tensors are never dropped under a caller that may
-//     have mutated them (the pruning experiments edit weights in place).
+//     handle's whole lifetime (a freshly trained model). Get returns it,
+//     Release is a no-op — resident tensors are never dropped under a
+//     caller that may have mutated them (the pruning experiments edit
+//     weights in place).
 //   - a lazy handle knows how to load the tensors (from a zoo store
 //     object file) but does not hold them until first use. Get loads on
 //     demand and caches; Release drops the cached model so a campaign

@@ -16,15 +16,13 @@ type tensorExport struct {
 // modelExport is the gob wire format of a Model: the configuration, every
 // named tensor, and the head-pruning masks. Gradients are not serialized.
 //
-// Save writes TensorList (sorted by name) so the byte stream is
-// deterministic — gob encodes maps in random iteration order, which would
-// make every saved artifact (zoo cache, store object) hash differently
-// per run. Load still accepts the legacy Tensors map, so files written by
-// older binaries keep loading: gob fills whichever field the stream
-// carries and leaves the other empty.
+// Save writes TensorList sorted by name so the byte stream is
+// deterministic and every zoo store object hashes the same on every run.
+// Streams that still carry a Tensors field (written before it was
+// dropped, always empty) load unchanged: gob skips fields the
+// destination type lacks.
 type modelExport struct {
 	Config     Config
-	Tensors    map[string][]float32 // legacy streams only
 	TensorList []tensorExport
 	Pruned     [][]bool
 }
@@ -51,7 +49,7 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a model previously written by Save (either tensor layout).
+// Load reads a model previously written by Save.
 func Load(r io.Reader) (*Model, error) {
 	var exp modelExport
 	if err := gob.NewDecoder(r).Decode(&exp); err != nil {
@@ -60,12 +58,9 @@ func Load(r io.Reader) (*Model, error) {
 	if err := exp.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("transformer: load: %w", err)
 	}
-	tensors := exp.Tensors
-	if len(exp.TensorList) > 0 {
-		tensors = make(map[string][]float32, len(exp.TensorList))
-		for _, te := range exp.TensorList {
-			tensors[te.Name] = te.Data
-		}
+	tensors := make(map[string][]float32, len(exp.TensorList))
+	for _, te := range exp.TensorList {
+		tensors[te.Name] = te.Data
 	}
 	m := New(exp.Config, 0)
 	for _, p := range m.Params() {

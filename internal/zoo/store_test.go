@@ -4,8 +4,11 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"decepticon/internal/gpusim"
 )
 
 // storeCfg is the seconds-fast config the store tests build against.
@@ -29,35 +32,87 @@ func openStore(t *testing.T, cfg BuildConfig, dir string) (*Zoo, *StoreStats) {
 	return z, stats
 }
 
-// A store-grown population must be byte-identical to a monolithic build
+// A store-grown population must be byte-identical to an in-memory build
 // of the same config — the determinism contract that makes single-entry
 // retraining safe.
 func TestStoreMatchesFullBuild(t *testing.T) {
 	cfg := storeCfg()
-	dir := t.TempDir()
-	zs, stats := openStore(t, cfg, dir)
+	zs, stats := openStore(t, cfg, t.TempDir())
 	if stats.Trained() != cfg.NumPretrained+cfg.NumFineTuned || stats.Reused != 0 {
 		t.Fatalf("fresh store: trained %d, reused %d; want %d/0",
 			stats.Trained(), stats.Reused, cfg.NumPretrained+cfg.NumFineTuned)
 	}
-	zb := MustBuild(cfg)
-	if len(zs.Pretrained) != len(zb.Pretrained) || len(zs.FineTuned) != len(zb.FineTuned) {
-		t.Fatalf("population %d/%d, want %d/%d",
-			len(zs.Pretrained), len(zs.FineTuned), len(zb.Pretrained), len(zb.FineTuned))
+	sameZoo(t, MustBuild(cfg), zs)
+}
+
+// A population read back from the store's objects by a warm open is the
+// population that was written: metadata, vocabulary, weights, victim
+// behavior, and pruning masks all survive the round trip.
+func TestZooRoundTrip(t *testing.T) {
+	cfg := storeCfg()
+	dir := t.TempDir()
+	zs, _ := openStore(t, cfg, dir)
+	zw, stats := openStore(t, cfg, dir)
+	if stats.Trained() != 0 {
+		t.Fatalf("warm open trained %d models, want 0", stats.Trained())
 	}
-	for i, p := range zb.Pretrained {
-		q := zs.Pretrained[i]
-		if q.Name != p.Name || q.ArchName != p.ArchName || q.Profile.Seed != p.Profile.Seed {
+	sameZoo(t, zs, zw)
+}
+
+// sameZoo fails unless z matches want model for model, bit for bit.
+func sameZoo(t *testing.T, want, z *Zoo) {
+	t.Helper()
+	if len(z.Pretrained) != len(want.Pretrained) || len(z.FineTuned) != len(want.FineTuned) {
+		t.Fatalf("population %d/%d, want %d/%d",
+			len(z.Pretrained), len(z.FineTuned), len(want.Pretrained), len(want.FineTuned))
+	}
+	for i, p := range want.Pretrained {
+		q := z.Pretrained[i]
+		if q.Name != p.Name || q.ArchName != p.ArchName || q.Profile.Seed != p.Profile.Seed ||
+			q.Source != p.Source || q.Language != p.Language || q.Cased != p.Cased {
 			t.Fatalf("pretrained %d metadata mismatch", i)
+		}
+		if !slices.Equal(q.Vocab.Words(), p.Vocab.Words()) {
+			t.Fatalf("%s vocabulary differs", p.Name)
 		}
 		sameWeights(t, p.Name, p.Model(), q.Model())
 	}
-	for i, f := range zb.FineTuned {
-		g := zs.FineTuned[i]
+	for i, f := range want.FineTuned {
+		g := z.FineTuned[i]
 		if g.Name != f.Name || g.Task.Name != f.Task.Name || g.Pretrained.Name != f.Pretrained.Name {
 			t.Fatalf("finetuned %d metadata mismatch", i)
 		}
 		sameWeights(t, f.Name, f.Model(), g.Model())
+		for _, ex := range f.Dev {
+			if f.Model().Predict(ex.Tokens) != g.Model().Predict(ex.Tokens) {
+				t.Fatalf("%s predicts differently", f.Name)
+			}
+		}
+		if !slices.Equal(f.Trace(gpusim.Options{}).Execs, g.Trace(gpusim.Options{}).Execs) {
+			t.Fatalf("%s kernel trace differs", f.Name)
+		}
+		if g.Model().PrunedHeadCount() != f.Model().PrunedHeadCount() {
+			t.Fatalf("%s pruning masks lost", f.Name)
+		}
+	}
+}
+
+// The store's object decoder rejects garbage and truncated objects with
+// an error instead of a half-built model.
+func TestLoadRejectsGarbage(t *testing.T) {
+	if _, err := decodeObject([]byte("not a zoo")); err == nil {
+		t.Fatal("garbage must not load")
+	}
+	z, _ := openStore(t, storeCfg(), t.TempDir())
+	data, err := encodeObject(z.FineTuned[0].Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeObject(data); err != nil {
+		t.Fatalf("intact object does not load: %v", err)
+	}
+	if _, err := decodeObject(data[:len(data)/2]); err == nil {
+		t.Fatal("truncated object must not load")
 	}
 }
 
@@ -178,49 +233,6 @@ func TestStoreKnobChangeCascades(t *testing.T) {
 	}
 }
 
-// Migration: a fresh store next to a matching monolithic cache imports
-// the cache's models instead of retraining them.
-func TestStoreImportsLegacyCache(t *testing.T) {
-	cfg := storeCfg()
-	tmp := t.TempDir()
-	cache := filepath.Join(tmp, "zoo.gob.gz")
-	zb, err := BuildOrLoad(cfg, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := filepath.Join(tmp, "store")
-	z, stats, err := BuildOrOpenStore(context.Background(), cfg, dir, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := cfg.NumPretrained + cfg.NumFineTuned
-	if stats.Imported != total || stats.Trained() != 0 {
-		t.Fatalf("import: imported %d, trained %d; want %d/0", stats.Imported, stats.Trained(), total)
-	}
-	for i := range zb.FineTuned {
-		sameWeights(t, zb.FineTuned[i].Name, zb.FineTuned[i].Model(), z.FineTuned[i].Model())
-	}
-	// The store is now self-sufficient: a warm open without the cache
-	// reuses everything.
-	_, stats = openStore(t, cfg, dir)
-	if stats.Reused != total {
-		t.Fatalf("post-import open reused %d, want %d", stats.Reused, total)
-	}
-
-	// A cache built for a different config must NOT be imported.
-	other := cfg
-	other.Seed = cfg.Seed + 1
-	dir2 := filepath.Join(tmp, "store2")
-	_, stats, err = BuildOrOpenStore(context.Background(), other, dir2, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Imported != 0 || stats.Trained() != total {
-		t.Fatalf("mismatched cache: imported %d, trained %d; want 0/%d", stats.Imported, stats.Trained(), total)
-	}
-}
-
 // A corrupt manifest downgrades to a warning + full rebuild, and the
 // rebuilt manifest GCs objects its keys no longer reference.
 func TestStoreRebuildsOnCorruptManifest(t *testing.T) {
@@ -256,7 +268,7 @@ func TestStoreGCsOrphanObjects(t *testing.T) {
 	}
 }
 
-// The store build is worker-count invariant, like the monolithic build:
+// The store build is worker-count invariant, like the in-memory build:
 // any parallelism writes byte-identical manifests and objects.
 func TestStoreWorkerCountInvariance(t *testing.T) {
 	cfg := storeCfg()

@@ -13,8 +13,8 @@
 #     proving per-tenant enforcement, order-checked NDJSON streams, and
 #     a bounded daemon heap.
 #
-# Both daemons share one -cache zoo so every run starts from the same
-# population (and the cache config-validation keeps it honest).
+# Both daemons share one pre-built zoo store so every run starts from
+# the same population (and the per-entry config keys keep it honest).
 set -eu
 
 GO="${GO:-go}"
@@ -23,14 +23,14 @@ rm -rf "$DIR"; mkdir -p "$DIR"
 
 $GO build -o "$DIR/decepticond" ./cmd/decepticond
 $GO build -o "$DIR/campaignload" ./cmd/campaignload
-$GO run ./cmd/zoo -scale tiny -cache "$DIR/zoo" >/dev/null
+$GO run ./cmd/zoo -scale tiny -store "$DIR/zoo" >/dev/null
 
 DPID=""
 start_daemon() { # $1 = state dir, rest = extra flags
   state="$1"; shift
   mkdir -p "$state"
   rm -f "$state/decepticond.addr"
-  "$DIR/decepticond" -scale tiny -cache "$DIR/zoo" -dir "$state" \
+  "$DIR/decepticond" -scale tiny -store "$DIR/zoo" -dir "$state" \
     -addr localhost:0 "$@" &
   DPID=$!
   i=0
